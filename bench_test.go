@@ -1,13 +1,15 @@
 // Package dsarp's root benchmark harness regenerates every table and figure
-// of the paper's evaluation (DESIGN.md §3 maps IDs to experiments). Each
-// benchmark runs a scaled-down version of the experiment and reports its
-// headline numbers as custom metrics; the printed tables land in the
-// benchmark log. cmd/experiments reproduces the same tables at larger scale.
+// of the paper's evaluation through the experiment registry
+// (exp.Runner.RunExperiment). Each benchmark runs a scaled-down version of
+// the experiment and reports its headline numbers as custom metrics; the
+// printed tables land in the benchmark log. cmd/experiments reproduces the
+// same tables at larger scale.
 //
 //	go test -bench=. -benchmem
 package dsarp
 
 import (
+	"fmt"
 	"testing"
 
 	"dsarp/internal/core"
@@ -34,10 +36,20 @@ func benchOpts() exp.Options {
 	}
 }
 
+// runExperiment runs one registry experiment on a fresh runner and returns
+// its concrete result.
+func runExperiment[T fmt.Stringer](b *testing.B, opts exp.Options, name string) T {
+	b.Helper()
+	out, err := exp.NewRunner(opts).RunExperiment(name)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return out.(T)
+}
+
 func BenchmarkFig5_TRFCabTrend(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		r := exp.NewRunner(benchOpts())
-		f := r.Fig5()
+		f := runExperiment[exp.Fig5Result](b, benchOpts(), "fig5")
 		last := f.Points[len(f.Points)-1]
 		b.ReportMetric(last.Projection2, "ns@64Gb")
 		if i == 0 {
@@ -48,8 +60,7 @@ func BenchmarkFig5_TRFCabTrend(b *testing.B) {
 
 func BenchmarkFig6_RefabPerfLoss(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		r := exp.NewRunner(benchOpts())
-		f := r.Fig6()
+		f := runExperiment[exp.Fig6Result](b, benchOpts(), "fig6")
 		b.ReportMetric(f.Rows[len(f.Rows)-1].Overall, "loss%@32Gb")
 		if i == 0 {
 			b.Log("\n" + f.String())
@@ -59,8 +70,7 @@ func BenchmarkFig6_RefabPerfLoss(b *testing.B) {
 
 func BenchmarkFig7_RefabVsRefpb(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		r := exp.NewRunner(benchOpts())
-		f := r.Fig7()
+		f := runExperiment[exp.Fig7Result](b, benchOpts(), "fig7")
 		b.ReportMetric(f.LossAB[len(f.LossAB)-1], "ab_loss%@32Gb")
 		b.ReportMetric(f.LossPB[len(f.LossPB)-1], "pb_loss%@32Gb")
 		if i == 0 {
@@ -71,8 +81,9 @@ func BenchmarkFig7_RefabVsRefpb(b *testing.B) {
 
 func BenchmarkFig12_SortedCurves(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		r := exp.NewRunner(benchOpts())
-		f := r.Fig12(timing.Gb32)
+		opts := benchOpts()
+		opts.Densities = []timing.Density{timing.Gb32}
+		f := runExperiment[exp.Fig12Set](b, opts, "fig12").Figs[0]
 		best := f.Curves[len(f.Curves)-1].Norm[core.KindDSARP]
 		b.ReportMetric((best-1)*100, "best_dsarp%")
 		if i == 0 {
@@ -83,8 +94,7 @@ func BenchmarkFig12_SortedCurves(b *testing.B) {
 
 func BenchmarkTable2_Improvements(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		r := exp.NewRunner(benchOpts())
-		t := r.Table2()
+		t := runExperiment[exp.Table2Result](b, benchOpts(), "table2")
 		last := t.Rows[len(t.Rows)-1] // DSARP at the highest density
 		b.ReportMetric(last.GmeanAB, "dsarp_gmean%_vs_ab")
 		b.ReportMetric(last.GmeanPB, "dsarp_gmean%_vs_pb")
@@ -101,8 +111,7 @@ func BenchmarkTable2_Parallel(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		opts := benchOpts()
 		opts.Parallelism = 0 // one worker per CPU
-		r := exp.NewRunner(opts)
-		t := r.Table2()
+		t := runExperiment[exp.Table2Result](b, opts, "table2")
 		last := t.Rows[len(t.Rows)-1]
 		b.ReportMetric(last.GmeanAB, "dsarp_gmean%_vs_ab")
 		if i == 0 {
@@ -113,8 +122,7 @@ func BenchmarkTable2_Parallel(b *testing.B) {
 
 func BenchmarkFig13_AllMechanisms(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		r := exp.NewRunner(benchOpts())
-		f := r.Fig13()
+		f := runExperiment[exp.Fig13Result](b, benchOpts(), "fig13")
 		last := len(f.Densities) - 1
 		b.ReportMetric(f.Improve[core.KindDSARP][last], "dsarp%@32Gb")
 		b.ReportMetric(f.Improve[core.KindNoRef][last], "noref%@32Gb")
@@ -126,8 +134,7 @@ func BenchmarkFig13_AllMechanisms(b *testing.B) {
 
 func BenchmarkDARPBreakdown(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		r := exp.NewRunner(benchOpts())
-		t := r.DARPBreakdown()
+		t := runExperiment[exp.BreakdownResult](b, benchOpts(), "breakdown")
 		last := t.Rows[len(t.Rows)-1]
 		b.ReportMetric(last.OoOGmean, "ooo%@32Gb")
 		b.ReportMetric(last.WRGmean, "wr_extra%@32Gb")
@@ -139,8 +146,7 @@ func BenchmarkDARPBreakdown(b *testing.B) {
 
 func BenchmarkFig14_Energy(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		r := exp.NewRunner(benchOpts())
-		f := r.Fig14()
+		f := runExperiment[exp.Fig14Result](b, benchOpts(), "fig14")
 		b.ReportMetric(f.DSARPReduction[len(f.DSARPReduction)-1], "dsarp_epa_red%@32Gb")
 		if i == 0 {
 			b.Log("\n" + f.String())
@@ -150,8 +156,7 @@ func BenchmarkFig14_Energy(b *testing.B) {
 
 func BenchmarkFig15_Intensity(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		r := exp.NewRunner(benchOpts())
-		f := r.Fig15()
+		f := runExperiment[exp.Fig15Result](b, benchOpts(), "fig15")
 		last := len(f.Densities) - 1
 		b.ReportMetric(f.OverAB[100][last], "dsarp%_cat100_vs_ab")
 		if i == 0 {
@@ -162,8 +167,7 @@ func BenchmarkFig15_Intensity(b *testing.B) {
 
 func BenchmarkTable3_CoreCount(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		r := exp.NewRunner(benchOpts())
-		t := r.Table3()
+		t := runExperiment[exp.Table3Result](b, benchOpts(), "table3")
 		b.ReportMetric(t.Rows[len(t.Rows)-1].WSImprove, "ws%@8core")
 		if i == 0 {
 			b.Log("\n" + t.String())
@@ -173,8 +177,7 @@ func BenchmarkTable3_CoreCount(b *testing.B) {
 
 func BenchmarkTable4_TFAW(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		r := exp.NewRunner(benchOpts())
-		t := r.Table4()
+		t := runExperiment[exp.Table4Result](b, benchOpts(), "table4")
 		b.ReportMetric(t.Improve[0], "sarp%_tfaw5")
 		b.ReportMetric(t.Improve[len(t.Improve)-1], "sarp%_tfaw30")
 		if i == 0 {
@@ -185,8 +188,7 @@ func BenchmarkTable4_TFAW(b *testing.B) {
 
 func BenchmarkTable5_Subarrays(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		r := exp.NewRunner(benchOpts())
-		t := r.Table5()
+		t := runExperiment[exp.Table5Result](b, benchOpts(), "table5")
 		b.ReportMetric(t.Improve[0], "sarp%_1sub")
 		b.ReportMetric(t.Improve[len(t.Improve)-1], "sarp%_64sub")
 		if i == 0 {
@@ -197,8 +199,7 @@ func BenchmarkTable5_Subarrays(b *testing.B) {
 
 func BenchmarkTable6_Retention64(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		r := exp.NewRunner(benchOpts())
-		t := r.Table6()
+		t := runExperiment[exp.Table6Result](b, benchOpts(), "table6")
 		b.ReportMetric(t.Rows[len(t.Rows)-1].GmeanAB, "dsarp_gmean%_vs_ab")
 		if i == 0 {
 			b.Log("\n" + t.String())
@@ -208,8 +209,7 @@ func BenchmarkTable6_Retention64(b *testing.B) {
 
 func BenchmarkFig16_FGR(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		r := exp.NewRunner(benchOpts())
-		f := r.Fig16()
+		f := runExperiment[exp.Fig16Result](b, benchOpts(), "fig16")
 		last := len(f.Densities) - 1
 		b.ReportMetric(f.Norm[core.KindFGR4x][last], "fgr4x_norm@32Gb")
 		b.ReportMetric(f.Norm[core.KindDSARP][last], "dsarp_norm@32Gb")
@@ -274,8 +274,7 @@ func BenchmarkSaturated(b *testing.B) {
 
 func BenchmarkAblations(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		r := exp.NewRunner(benchOpts())
-		a := r.Ablations()
+		a := runExperiment[exp.AblationResult](b, benchOpts(), "ablations")
 		if i == 0 {
 			b.Log("\n" + a.String())
 		}

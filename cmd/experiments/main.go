@@ -1,15 +1,15 @@
 // Command experiments regenerates the tables and figures of Chang et al.,
-// HPCA 2014 (see DESIGN.md §3 for the experiment index). The experiment
-// set is the exp package's declarative registry; -list prints it.
+// HPCA 2014. The experiment set is the exp package's declarative registry;
+// -list prints it.
 //
 // Usage:
 //
-//	experiments [-list] [-only name[,name...]] [-run all|<names>]
+//	experiments [-list] [-run all|name[,name...]]
 //	            [-scale default|paper] [-percat N] [-measure N] [-seed N]
 //	            [-parallel N] [-store DIR] [-cpuprofile F] [-memprofile F] [-v]
 //
-// -only and -run both select experiments by registry name (-only wins if
-// both are given); the default runs everything in registry order.
+// -run selects experiments by registry name; the default runs everything
+// in registry order.
 //
 // With -store, every completed simulation is persisted to a
 // content-addressed result store as it finishes, and consulted before
@@ -46,7 +46,6 @@ func main() {
 func mainImpl() int {
 	var (
 		run      = flag.String("run", "all", "experiments to run (comma-separated registry names), or 'all'")
-		only     = flag.String("only", "", "run only these registry names (overrides -run)")
 		list     = flag.Bool("list", false, "list registry experiments with spec counts (and store warm status with -store), then exit")
 		scale    = flag.String("scale", "default", "experiment scale: default | paper")
 		percat   = flag.Int("percat", 0, "override workloads per intensity category")
@@ -107,7 +106,7 @@ func mainImpl() int {
 		opts.Store = st
 	}
 	if *verbose {
-		opts.Progress = func(done, _ int, label string) {
+		opts.Progress = func(done int, label string) {
 			fmt.Fprintf(os.Stderr, "[%4d] %s\n", done, label)
 		}
 	}
@@ -163,12 +162,8 @@ func mainImpl() int {
 		os.Exit(130)
 	}()
 
-	sel := *run
-	if *only != "" {
-		sel = *only
-	}
 	selected := map[string]bool{}
-	for _, name := range strings.Split(sel, ",") {
+	for _, name := range strings.Split(*run, ",") {
 		selected[strings.TrimSpace(strings.ToLower(name))] = true
 	}
 	all := selected["all"]
@@ -206,7 +201,7 @@ func mainImpl() int {
 		ran++
 	}
 	if ran == 0 {
-		fmt.Fprintf(os.Stderr, "no experiment matched %q; -list shows the registry\n", sel)
+		fmt.Fprintf(os.Stderr, "no experiment matched %q; -list shows the registry\n", *run)
 		return 2
 	}
 	return 0

@@ -6,8 +6,7 @@
 // memory controller, trace-driven cores, LLC, workload generator, power
 // model) needed to regenerate the paper's evaluation.
 //
-// Start with README.md for usage, DESIGN.md for the system inventory and
-// experiment index, and EXPERIMENTS.md for paper-vs-measured results. The
-// root package holds only the benchmark harness (bench_test.go), one
-// benchmark per paper table/figure.
+// Start with README.md for usage and the package map. The root package
+// holds only the benchmark harness (bench_test.go), one benchmark per paper
+// table/figure.
 package dsarp

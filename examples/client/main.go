@@ -1,81 +1,46 @@
-// Command client demonstrates the dsarpd HTTP API in two modes.
-//
-// Sweep demo (default): submits a small sweep (the Table 2 task set at a
-// reduced scale), follows the job's SSE progress stream, and prints
-// per-task outcomes — showing which results were freshly computed and
-// which came from the server's content-addressed store. Run it twice
-// against the same server to watch the second sweep complete without a
-// single simulation.
+// Command client demonstrates the dsarpd HTTP API: it submits a small
+// sweep (the Table 2 task set at a reduced scale), follows the job's SSE
+// progress stream, and prints per-task outcomes — showing which results
+// were freshly computed and which came from the server's content-addressed
+// store. Run it twice against the same server to watch the second sweep
+// complete without a single simulation.
 //
 //	dsarpd &                      # terminal 1
 //	go run ./examples/client      # terminal 2, twice
 //
-// Fleet mode (-experiment): reproduces one registry experiment across N
-// dsarpd workers through the internal/fleet orchestrator. The client
-// enumerates the experiment's specs locally, dispatches each ring-affine
-// (preferring the workers that own the spec's key in the fleet's
-// rendezvous ring, falling back to the least-loaded live worker),
-// retries transient failures (backpressure, timeouts, worker death)
-// against the survivors, and assembles the rendered table locally —
-// byte-identical to running the experiment on one machine, because the
-// table is a pure function of the per-spec results. The workers need not
-// share a store directory; results travel back over HTTP, and workers
-// started with -peers replicate them so the warm state survives losing
-// any worker:
-//
-//	dsarpd -addr :8080 -store /tmp/w1 &   # worker 1
-//	dsarpd -addr :8081 -store /tmp/w2 &   # worker 2
-//	go run ./examples/client -experiment table2 \
-//	    -addrs http://localhost:8080,http://localhost:8081
-//
-// For the full-featured CLI (journals, resumable runs, a local result
-// store) see cmd/fleet.
+// To reproduce a whole registry experiment across several dsarpd workers,
+// use cmd/fleet.
 package main
 
 import (
 	"bufio"
 	"bytes"
-	"context"
 	"encoding/json"
 	"flag"
 	"fmt"
-	"log/slog"
 	"net/http"
 	"os"
 	"strings"
 
 	"dsarp/internal/exp"
-	fleetpkg "dsarp/internal/fleet"
 	"dsarp/internal/timing"
 )
 
 func main() {
-	addr := flag.String("addr", "http://localhost:8080", "dsarpd base URL (sweep demo)")
-	addrs := flag.String("addrs", "", "comma-separated dsarpd base URLs (fleet mode; defaults to -addr)")
-	experiment := flag.String("experiment", "", "reproduce this registry experiment across the workers (see cmd/experiments -list)")
-	n := flag.Int("n", 0, "submit only the first n specs (0 = all; sweep demo)")
+	addr := flag.String("addr", "http://localhost:8080", "dsarpd base URL")
+	n := flag.Int("n", 0, "submit only the first n specs (0 = all)")
 	flag.Parse()
 
-	var err error
-	if *experiment != "" {
-		workers := strings.Split(*addrs, ",")
-		if *addrs == "" {
-			workers = []string{*addr}
-		}
-		err = fleet(workers, *experiment)
-	} else {
-		err = sweepDemo(*addr, *n)
-	}
-	if err != nil {
+	if err := sweepDemo(*addr, *n); err != nil {
 		fmt.Fprintf(os.Stderr, "client: %v\n", err)
 		os.Exit(1)
 	}
 }
 
-// demoOpts is the reduced scale both modes enumerate at. The runner built
-// from it is used only for spec enumeration and assembly — every
-// simulation happens server-side. Specs are fully resolved, so workers
-// honor this scale regardless of their own -warmup/-measure defaults.
+// demoOpts is the reduced scale the sweep enumerates at. The runner built
+// from it is used only for spec enumeration — every simulation happens
+// server-side. Specs are fully resolved, so the server honors this scale
+// regardless of its own -warmup/-measure defaults.
 func demoOpts() exp.Options {
 	opts := exp.Defaults()
 	opts.PerCategory = 1
@@ -86,41 +51,10 @@ func demoOpts() exp.Options {
 	return opts
 }
 
-// fleet reproduces one experiment across the workers through the
-// orchestrator: least-loaded dispatch, health checks, and transient-
-// failure retries come with it — a worker can die mid-run and the
-// survivors finish the job.
-func fleet(workers []string, name string) error {
-	r := exp.NewRunner(demoOpts())
-	if _, ok := exp.LookupExperiment(name); !ok {
-		return fmt.Errorf("unknown experiment %q", name)
-	}
-	o, err := fleetpkg.New(fleetpkg.Config{
-		Workers: workers,
-		Log:     slog.New(slog.NewTextHandler(os.Stdout, nil)),
-	})
-	if err != nil {
-		return err
-	}
-	fmt.Printf("experiment %s across %d workers\n", name, len(workers))
-	table, err := o.RunExperiment(context.Background(), r, name)
-	if err != nil {
-		return err
-	}
-	st := o.Stats()
-	fmt.Printf("  done: %d dispatched (%d computed, %d affine), %d retries\n",
-		st.Dispatched, st.Computed, st.Affine, st.Retries)
-	if line, ok := o.ReplicationSummary(context.Background()); ok {
-		fmt.Printf("  %s\n", line)
-	}
-	fmt.Println()
-	fmt.Print(table.String())
-	return nil
-}
-
-// sweepDemo is the original walkthrough: one sweep, SSE progress.
+// sweepDemo submits one sweep and follows its SSE progress.
 func sweepDemo(addr string, n int) error {
-	specs := exp.NewRunner(demoOpts()).Table2Specs()
+	table2, _ := exp.LookupExperiment("table2")
+	specs := table2.Specs(exp.NewRunner(demoOpts()))
 	if n > 0 && n < len(specs) {
 		specs = specs[:n]
 	}

@@ -15,12 +15,12 @@ import (
 //
 // The paper argues pausing is hard to realize because real devices refresh
 // multiple rows in parallel; it is included here as an additional
-// comparison point (exp.PausingComparison), not as part of the paper's own
-// figures. Each nominal REFab becomes Segments sub-commands of tRFCab/
-// Segments cycles; between segments demand flows freely, and a segment is
-// issued only when its rank has no pending demand — unless the whole
-// refresh is overdue (the postponement budget is spent), in which case
-// segments are forced back to back.
+// comparison point (the exp "pausing" experiment), not as part of the
+// paper's own figures. Each nominal REFab becomes Segments sub-commands
+// of tRFCab/Segments cycles; between segments demand flows freely, and a
+// segment is issued only when its rank has no pending demand — unless the
+// whole refresh is overdue (the postponement budget is spent), in which
+// case segments are forced back to back.
 type Pausing struct {
 	v     sched.View
 	ranks int

@@ -9,7 +9,7 @@ import (
 	"dsarp/internal/timing"
 )
 
-// AblationRow compares a design choice (DESIGN.md §4) against its variant.
+// AblationRow compares a design choice against its variant.
 type AblationRow struct {
 	Name        string
 	Description string
@@ -91,17 +91,6 @@ func assembleAblations(r *Runner, res Results) AblationResult {
 		"out-of-order refresh picks random idle bank vs largest-debt", base, greedy))
 
 	return out
-}
-
-func assembleAblationsAny(r *Runner, res Results) fmt.Stringer { return assembleAblations(r, res) }
-
-// Ablations runs the DESIGN.md §4 ablation studies.
-func (r *Runner) Ablations() AblationResult {
-	res, ok := r.RunAll(ablationSpecs(r))
-	if !ok {
-		return AblationResult{}
-	}
-	return assembleAblations(r, res)
 }
 
 func row(name, desc string, base, variant float64) AblationRow {

@@ -7,13 +7,12 @@ import (
 	"testing"
 
 	"dsarp/internal/core"
-	"dsarp/internal/timing"
 )
 
 func TestWriteCSVRoundTrip(t *testing.T) {
 	dir := t.TempDir()
 	r := NewRunner(tinyOpts())
-	f := r.Fig5()
+	f := runAs[Fig5Result](t, r, "fig5")
 	if err := WriteCSV(dir, "fig5", f); err != nil {
 		t.Fatal(err)
 	}
@@ -38,11 +37,11 @@ func TestCSVShapesConsistent(t *testing.T) {
 	// Every exporter must produce rows matching its header width.
 	r := NewRunner(tinyOpts())
 	exports := map[string]CSVWritable{
-		"fig5":   r.Fig5(),
-		"fig7":   r.Fig7(),
-		"fig12":  r.Fig12(timing.Gb8),
-		"table2": r.Table2(),
-		"table5": r.Table5(),
+		"fig5":   runAs[Fig5Result](t, r, "fig5"),
+		"fig7":   runAs[Fig7Result](t, r, "fig7"),
+		"fig12":  runAs[Fig12Set](t, r, "fig12").Figs[0],
+		"table2": runAs[Table2Result](t, r, "table2"),
+		"table5": runAs[Table5Result](t, r, "table5"),
 	}
 	for name, e := range exports {
 		header, rows := e.CSV()
@@ -60,7 +59,7 @@ func TestCSVShapesConsistent(t *testing.T) {
 
 func TestPausingComparisonShape(t *testing.T) {
 	r := NewRunner(tinyOpts())
-	p := r.PausingComparison()
+	p := runAs[PausingResult](t, r, "pausing")
 	last := len(p.Densities) - 1
 	if p.Norm[core.KindREFab][last] != 1.0 {
 		t.Fatalf("REFab must normalize to 1")

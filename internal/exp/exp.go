@@ -1,18 +1,15 @@
 // Package exp regenerates every table and figure of the paper's evaluation
-// (§3 and §6) plus the DESIGN.md ablations. Each experiment is a registry
-// entry (Experiments, LookupExperiment) with two pure halves: Specs
-// enumerates the simulations it needs as fully-resolved SimSpecs, and
-// Assemble renders the table from a Results map — so any execution
-// strategy fits between them (the runner's local pool, the HTTP sweep
-// machinery, or a fleet of dsarpd workers). The legacy Runner methods
-// (Table2, Fig13, ...) are thin run-then-assemble wrappers over the same
-// entries and render byte-identical output. Results of individual
+// (§3 and §6) plus the design-choice ablations. Each experiment is a
+// registry entry (Experiments, LookupExperiment) with two pure halves:
+// Specs enumerates the simulations it needs as fully-resolved SimSpecs,
+// and Assemble renders the table from a Results map — so any execution
+// strategy fits between them (Runner.RunExperiment's local pool, the HTTP
+// sweep machinery, or a fleet of dsarpd workers). Results of individual
 // simulations are cached and shared across experiments so e.g. Fig. 12,
 // Fig. 13 and Table 2 reuse the same runs.
 //
-// Scale is controlled by Options: the defaults are laptop-scale (see
-// DESIGN.md substitution 2); Paper() restores the paper's 100-workload
-// setup with long measurement windows.
+// Scale is controlled by Options: the defaults are laptop-scale; Paper()
+// restores the paper's 100-workload setup with long measurement windows.
 package exp
 
 import (
@@ -24,12 +21,10 @@ import (
 	"time"
 
 	"dsarp/internal/core"
-	"dsarp/internal/metrics"
 	"dsarp/internal/sched"
 	"dsarp/internal/sim"
 	"dsarp/internal/store"
 	"dsarp/internal/timing"
-	"dsarp/internal/trace"
 	"dsarp/internal/workload"
 )
 
@@ -94,10 +89,11 @@ type Options struct {
 	// Store, and a result whose store write fails is kept in memory so it
 	// is never silently lost.
 	EphemeralResults bool
-	// Progress, if non-nil, is called after each completed simulation. It
-	// is never called concurrently, but under parallelism the callback
-	// order is completion order, not submission order.
-	Progress func(done, total int, label string)
+	// Progress, if non-nil, is called after each completed simulation with
+	// the runner's running count of them. It is never called concurrently,
+	// but under parallelism the callback order is completion order, not
+	// submission order.
+	Progress func(done int, label string)
 }
 
 // Defaults returns a laptop-scale configuration: 10 workloads (2 per
@@ -135,11 +131,10 @@ type Runner struct {
 	mixes     []workload.Workload
 	sensitive []workload.Workload
 
-	mu         sync.Mutex
-	cache      map[store.Key]sim.Result
-	running    map[store.Key]*inflight[sim.Result] // deduplicates concurrent runs
-	done       int
-	totalGuess int
+	mu      sync.Mutex
+	cache   map[store.Key]sim.Result
+	running map[store.Key]*inflight[sim.Result] // deduplicates concurrent runs
+	done    int
 
 	simsRun   atomic.Int64 // simulations actually executed
 	storeHits atomic.Int64 // results served from the on-disk store
@@ -318,14 +313,6 @@ func (r *Runner) Mixes() []workload.Workload { return r.mixes }
 // SensitivityMixes returns the all-intensive workloads of §6.2-6.4.
 func (r *Runner) SensitivityMixes() []workload.Workload { return r.sensitive }
 
-// run executes (or recalls) one simulation. variant tags non-default
-// configurations; mod applies them. Concurrent calls with the same key
-// share a single execution: the first caller computes, the rest wait.
-func (r *Runner) run(wl workload.Workload, k core.Kind, d timing.Density, variant string, mod func(*sim.Config)) sim.Result {
-	res, _, _ := r.runSpec(r.specFor(wl, k, d, variant), mod)
-	return res
-}
-
 // RunSource says where a result came from.
 type RunSource int
 
@@ -378,18 +365,12 @@ type RunInfo struct {
 	ResumedFrom int64
 }
 
-// RunSpec executes (or recalls) the simulation an external spec describes:
-// the serving layer's entry point. The spec is normalized and validated
-// first; config modifiers come from the variant registry only. Unlike the
-// internal run path, failures surface as errors, not panics; a watchdog
-// abort surfaces as an error wrapping ErrSimTimeout.
-func (r *Runner) RunSpec(spec SimSpec) (sim.Result, RunSource, error) {
-	res, info, err := r.RunSpecInfo(spec)
-	return res, info.Source, err
-}
-
-// RunSpecInfo is RunSpec with run provenance: where the result came from
-// and, for computed runs, the checkpoint cycle it resumed from.
+// RunSpecInfo executes (or recalls) the simulation an external spec
+// describes: the serving layer's entry point. The spec is normalized and
+// validated first; config modifiers come from the variant registry only.
+// Failures surface as errors, not panics; a watchdog abort surfaces as an
+// error wrapping ErrSimTimeout. The RunInfo says where the result came
+// from and, for computed runs, the checkpoint cycle it resumed from.
 func (r *Runner) RunSpecInfo(spec SimSpec) (res sim.Result, info RunInfo, err error) {
 	spec, err = r.PrepareSpec(spec)
 	if err != nil {
@@ -414,8 +395,9 @@ func (r *Runner) RunSpecInfo(spec SimSpec) (res sim.Result, info RunInfo, err er
 
 // runSpec is the shared cached-execution path: in-memory cache and
 // in-flight dedup first, then the on-disk store, then a real simulation
-// whose result is published to both. Panics on simulation errors (the
-// historical contract of run; RunSpec converts them back to errors).
+// whose result is published to both. Concurrent calls with the same key
+// share a single execution. Panics on simulation errors (RunSpecInfo
+// converts them back to errors).
 func (r *Runner) runSpec(spec SimSpec, mod func(*sim.Config)) (sim.Result, RunSource, int64) {
 	key := spec.Key()
 	src := SourceMemory
@@ -464,9 +446,10 @@ func (r *Runner) runSpec(spec SimSpec, mod func(*sim.Config)) (sim.Result, RunSo
 			watchdog.Stop()
 		}
 		if errors.Is(err, sim.ErrInterrupted) {
-			// The panic value is an error wrapping ErrSimTimeout so RunSpec
-			// (on the computing caller AND on singleflight waiters, which
-			// re-raise it) can classify the failure as retryable.
+			// The panic value is an error wrapping ErrSimTimeout so
+			// RunSpecInfo (on the computing caller AND on singleflight
+			// waiters, which re-raise it) can classify the failure as
+			// retryable.
 			panic(fmt.Errorf("exp: %s: %w after %v", spec.label(), ErrSimTimeout, r.opts.SimTimeout))
 		}
 		if err != nil {
@@ -571,9 +554,9 @@ func (r *Runner) ephemeral() bool {
 // content address — the input shape Experiment.Assemble consumes. Specs
 // must be canonical (runner-built enumerations are; external ones go
 // through PrepareSpec); variants resolve through the variant registry.
-// Like run, it panics on invalid specs or simulation errors — but every
-// variant is resolved up front, so a bad spec fails before the first
-// simulation starts, not hours into a sweep. After Interrupt the partial
+// It panics on invalid specs or simulation errors — but every variant is
+// resolved up front, so a bad spec fails before the first simulation
+// starts, not hours into a sweep. After Interrupt the partial
 // map is withheld (ok=false): assembling from it would either panic on a
 // missing key or render a misleading table.
 func (r *Runner) RunAll(specs []SimSpec) (res Results, ok bool) {
@@ -695,9 +678,8 @@ func (r *Runner) CheckpointBytesRestored() int64 { return r.ckptRestoredBytes.Lo
 // Interrupt makes the runner stop starting new simulations: worker pools
 // drain after their current task, so every completed result has already
 // reached the store and a later run with the same store resumes where this
-// one stopped. Experiment methods still return, but their tables are
-// meaningless after an interrupt — callers should discard them (see
-// Interrupted).
+// one stopped. RunAll then withholds its partial results and
+// RunExperiment returns no table (see Interrupted).
 func (r *Runner) Interrupt() { r.interrupted.Store(true) }
 
 // Interrupted reports whether Interrupt was called.
@@ -709,46 +691,10 @@ func (r *Runner) progress(done int, label string) {
 	}
 	r.progressMu.Lock()
 	defer r.progressMu.Unlock()
-	r.opts.Progress(done, r.totalGuess, label)
+	r.opts.Progress(done, label)
 }
 
-// aloneIPC returns a benchmark's alone-run IPC: a single-core run on the
-// full memory system with refresh disabled. Refresh-free alone IPCs make
-// weighted-speedup ratios across mechanisms exact (the normalization
-// constant cancels). Alone runs flow through the same cached path as every
-// other simulation, so they are deduplicated, persisted to the store, and
-// warmable over the serving layer like any other run.
-func (r *Runner) aloneIPC(prof trace.Profile) float64 {
-	res, _, _ := r.runSpec(r.AloneSpec(prof), nil)
-	return res.IPC[0]
-}
-
-// aloneIPCs collects alone IPCs for every slot of a workload.
-func (r *Runner) aloneIPCs(wl workload.Workload) []float64 {
-	out := make([]float64, len(wl.Benchmarks))
-	for i, b := range wl.Benchmarks {
-		out[i] = r.aloneIPC(b)
-	}
-	return out
-}
-
-// WS returns the weighted speedup of a mechanism on a workload.
-func (r *Runner) WS(wl workload.Workload, k core.Kind, d timing.Density, variant string, mod func(*sim.Config)) float64 {
-	res := r.run(wl, k, d, variant, mod)
-	return metrics.WeightedSpeedup(res.IPC, r.aloneIPCs(wl))
-}
-
-// wsSeries computes WS for every workload in ws, fanning the simulations
-// out over the runner's workers.
-func (r *Runner) wsSeries(ws []workload.Workload, k core.Kind, d timing.Density, variant string, mod func(*sim.Config)) []float64 {
-	out := make([]float64, len(ws))
-	r.forEach(len(ws), func(i int) {
-		out[i] = r.WS(ws[i], k, d, variant, mod)
-	})
-	return out
-}
-
-// policyVariant builds a sim.Config modifier that swaps in a custom DARP
+// darpVariant builds a sim.Config modifier that swaps in a custom DARP
 // configuration (ablations).
 func darpVariant(opts core.DARPOptions) func(*sim.Config) {
 	return func(c *sim.Config) {

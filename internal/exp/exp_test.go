@@ -1,10 +1,12 @@
 package exp
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
 	"dsarp/internal/core"
+	"dsarp/internal/sim"
 	"dsarp/internal/timing"
 )
 
@@ -22,9 +24,33 @@ func tinyOpts() Options {
 	}
 }
 
+// runAs runs a registry experiment and returns its concrete result.
+func runAs[T fmt.Stringer](t testing.TB, r *Runner, name string) T {
+	t.Helper()
+	out, err := r.RunExperiment(name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, ok := out.(T)
+	if !ok {
+		t.Fatalf("%s: result is %T", name, out)
+	}
+	return res
+}
+
+// runOne runs one simulation through RunSpecInfo, failing the test on error.
+func runOne(t testing.TB, r *Runner, spec SimSpec) (sim.Result, RunSource) {
+	t.Helper()
+	res, info, err := r.RunSpecInfo(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res, info.Source
+}
+
 func TestFig5MatchesTimingPackage(t *testing.T) {
 	r := NewRunner(tinyOpts())
-	f := r.Fig5()
+	f := runAs[Fig5Result](t, r, "fig5")
 	if len(f.Points) == 0 {
 		t.Fatal("no trend points")
 	}
@@ -39,7 +65,7 @@ func TestFig5MatchesTimingPackage(t *testing.T) {
 
 func TestFig7Shape(t *testing.T) {
 	r := NewRunner(tinyOpts())
-	f := r.Fig7()
+	f := runAs[Fig7Result](t, r, "fig7")
 	for i := range f.Densities {
 		if f.LossAB[i] <= 0 {
 			t.Errorf("%v: REFab shows no loss", f.Densities[i])
@@ -57,7 +83,7 @@ func TestFig7Shape(t *testing.T) {
 
 func TestFig13Ordering(t *testing.T) {
 	r := NewRunner(tinyOpts())
-	f := r.Fig13()
+	f := runAs[Fig13Result](t, r, "fig13")
 	last := len(f.Densities) - 1 // 32Gb: the clearest separation
 	noref := f.Improve[core.KindNoRef][last]
 	dsarp := f.Improve[core.KindDSARP][last]
@@ -73,7 +99,7 @@ func TestFig13Ordering(t *testing.T) {
 
 func TestTable2Positive(t *testing.T) {
 	r := NewRunner(tinyOpts())
-	tab := r.Table2()
+	tab := runAs[Table2Result](t, r, "table2")
 	if len(tab.Rows) != len(tinyOpts().Densities)*len(Table2Mechanisms()) {
 		t.Fatalf("row count = %d", len(tab.Rows))
 	}
@@ -89,7 +115,7 @@ func TestTable2Positive(t *testing.T) {
 
 func TestFig16FGRWorseThanREFab(t *testing.T) {
 	r := NewRunner(tinyOpts())
-	f := r.Fig16()
+	f := runAs[Fig16Result](t, r, "fig16")
 	last := len(f.Densities) - 1
 	if f.Norm[core.KindREFab][last] != 1.0 {
 		t.Fatalf("REFab must normalize to 1, got %v", f.Norm[core.KindREFab][last])
@@ -107,7 +133,7 @@ func TestFig16FGRWorseThanREFab(t *testing.T) {
 
 func TestTable5TrendTiny(t *testing.T) {
 	r := NewRunner(tinyOpts())
-	tab := r.Table5()
+	tab := runAs[Table5Result](t, r, "table5")
 	if tab.Improve[0] > 1.5 {
 		t.Errorf("1 subarray should show ~no gain, got %.1f%%", tab.Improve[0])
 	}
@@ -119,16 +145,15 @@ func TestTable5TrendTiny(t *testing.T) {
 func TestRunCaching(t *testing.T) {
 	opts := tinyOpts()
 	runs := 0
-	opts.Progress = func(done, _ int, _ string) { runs = done }
+	opts.Progress = func(done int, _ string) { runs = done }
 	r := NewRunner(opts)
 	wl := r.Mixes()[0]
-	r.run(wl, core.KindREFab, timing.Gb8, "", nil)
+	runOne(t, r, r.specFor(wl, core.KindREFab, timing.Gb8, ""))
 	after := runs
-	r.run(wl, core.KindREFab, timing.Gb8, "", nil) // cached
-	if runs != after {
-		t.Error("identical run not served from cache")
+	if _, src := runOne(t, r, r.specFor(wl, core.KindREFab, timing.Gb8, "")); src != SourceMemory || runs != after {
+		t.Errorf("identical run not served from cache (source %v)", src)
 	}
-	r.run(wl, core.KindREFab, timing.Gb8, "other", nil) // distinct variant
+	runOne(t, r, r.specFor(wl, core.KindREFab, timing.Gb8, "ret64")) // distinct variant
 	if runs != after+1 {
 		t.Error("variant should miss the cache")
 	}
@@ -136,25 +161,26 @@ func TestRunCaching(t *testing.T) {
 
 func TestAloneIPCCached(t *testing.T) {
 	r := NewRunner(tinyOpts())
-	prof := r.Mixes()[0].Benchmarks[0]
-	a := r.aloneIPC(prof)
-	b := r.aloneIPC(prof)
-	if a != b || a <= 0 {
-		t.Errorf("alone IPC unstable or nonpositive: %v vs %v", a, b)
+	spec := r.AloneSpec(r.Mixes()[0].Benchmarks[0])
+	a, _ := runOne(t, r, spec)
+	b, src := runOne(t, r, spec)
+	if src != SourceMemory {
+		t.Errorf("second alone run source = %v, want memory", src)
+	}
+	if a.IPC[0] != b.IPC[0] || a.IPC[0] <= 0 {
+		t.Errorf("alone IPC unstable or nonpositive: %v vs %v", a.IPC[0], b.IPC[0])
 	}
 }
 
 func TestStringersProduceTables(t *testing.T) {
 	r := NewRunner(tinyOpts())
-	outputs := []string{
-		r.Fig5().String(),
-		r.Fig7().String(),
-		r.Fig12(timing.Gb8).String(),
-		r.Table2().String(),
-	}
-	for i, s := range outputs {
-		if len(strings.Split(s, "\n")) < 3 {
-			t.Errorf("output %d suspiciously short:\n%s", i, s)
+	for _, name := range []string{"fig5", "fig7", "fig12", "table2"} {
+		out, err := r.RunExperiment(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if s := out.String(); len(strings.Split(s, "\n")) < 3 {
+			t.Errorf("%s output suspiciously short:\n%s", name, s)
 		}
 	}
 }

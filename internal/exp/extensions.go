@@ -11,7 +11,9 @@ import (
 
 // PausingResult compares refresh pausing (Nair et al., HPCA 2013 — the §7
 // related mechanism, implemented as an extension) with the paper's
-// mechanisms, normalized to REFab.
+// mechanisms, normalized to REFab. Expected shape: pausing beats REFab (it
+// yields to demand at row-granular pausing points) but falls short of
+// DSARP, which overlaps rather than merely reorders refresh work.
 type PausingResult struct {
 	Densities []timing.Density
 	Norm      map[core.Kind][]float64
@@ -48,20 +50,6 @@ func assemblePausing(r *Runner, res Results) PausingResult {
 		}
 	}
 	return out
-}
-
-func assemblePausingAny(r *Runner, res Results) fmt.Stringer { return assemblePausing(r, res) }
-
-// PausingComparison evaluates refresh pausing against DARP/DSARP. Expected
-// shape: pausing beats REFab (it yields to demand at row-granular pausing
-// points) but falls short of DSARP, which overlaps rather than merely
-// reorders refresh work.
-func (r *Runner) PausingComparison() PausingResult {
-	res, ok := r.RunAll(pausingSpecs(r))
-	if !ok {
-		return PausingResult{}
-	}
-	return assemblePausing(r, res)
 }
 
 func (p PausingResult) String() string {

@@ -12,8 +12,7 @@ import (
 )
 
 // Like tables.go, every figure here is registered declaratively: a specs
-// enumeration, a pure assembly from a Results map, and the legacy Runner
-// method as a thin wrapper over the two.
+// enumeration and a pure assembly from a Results map.
 
 // --- Fig. 5: refresh latency trend ---
 
@@ -25,13 +24,9 @@ type Fig5Result struct{ Points []timing.TrendPoint }
 // enumerate→assemble shape (a fleet run of fig5 is a zero-spec job).
 func fig5Specs(*Runner) []SimSpec { return nil }
 
-func assembleFig5Any(*Runner, Results) fmt.Stringer {
-	return Fig5Result{Points: timing.TRFCTrend()}
-}
-
-// Fig5 regenerates the refresh latency trend: two linear projections of
-// tRFCab versus chip density.
-func (r *Runner) Fig5() Fig5Result { return Fig5Result{Points: timing.TRFCTrend()} }
+// assembleFig5 regenerates the refresh latency trend: two linear
+// projections of tRFCab versus chip density.
+func assembleFig5(*Runner, Results) Fig5Result { return Fig5Result{Points: timing.TRFCTrend()} }
 
 func (f Fig5Result) String() string {
 	var b strings.Builder
@@ -96,18 +91,6 @@ func assembleFig6(r *Runner, res Results) Fig6Result {
 	return out
 }
 
-func assembleFig6Any(r *Runner, res Results) fmt.Stringer { return assembleFig6(r, res) }
-
-// Fig6 measures the performance loss of all-bank refresh against an ideal
-// refresh-free system, per intensity category and density.
-func (r *Runner) Fig6() Fig6Result {
-	res, ok := r.RunAll(fig6Specs(r))
-	if !ok {
-		return Fig6Result{}
-	}
-	return assembleFig6(r, res)
-}
-
 func (f Fig6Result) String() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "Fig. 6 — performance loss due to REFab vs ideal (%%):\n%8s", "density")
@@ -158,17 +141,6 @@ func assembleFig7(r *Runner, res Results) Fig7Result {
 		out.LossPB = append(out.LossPB, (1-stats.Gmean(pb))*100)
 	}
 	return out
-}
-
-func assembleFig7Any(r *Runner, res Results) fmt.Stringer { return assembleFig7(r, res) }
-
-// Fig7 measures average performance loss of REFab and REFpb vs the ideal.
-func (r *Runner) Fig7() Fig7Result {
-	res, ok := r.RunAll(fig7Specs(r))
-	if !ok {
-		return Fig7Result{}
-	}
-	return assembleFig7(r, res)
 }
 
 func (f Fig7Result) String() string {
@@ -227,16 +199,6 @@ func assembleFig12(r *Runner, res Results, d timing.Density) Fig12Result {
 	return out
 }
 
-// Fig12 computes per-workload WS normalized to REFab for REFpb, DARP,
-// SARPpb and DSARP at one density, sorted by DARP improvement.
-func (r *Runner) Fig12(d timing.Density) Fig12Result {
-	res, ok := r.RunAll(fig12Specs(r, d))
-	if !ok {
-		return Fig12Result{Density: d}
-	}
-	return assembleFig12(r, res, d)
-}
-
 func (f Fig12Result) String() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "Fig. 12 (%s) — WS normalized to REFab, sorted by DARP:\n%-16s", f.Density, "workload")
@@ -276,8 +238,6 @@ func assembleFig12Set(r *Runner, res Results) Fig12Set {
 	}
 	return out
 }
-
-func assembleFig12SetAny(r *Runner, res Results) fmt.Stringer { return assembleFig12Set(r, res) }
 
 // String concatenates the panels the way cmd/experiments always has: one
 // blank line between densities.
@@ -340,17 +300,6 @@ func assembleFig13(r *Runner, res Results) Fig13Result {
 		}
 	}
 	return out
-}
-
-func assembleFig13Any(r *Runner, res Results) fmt.Stringer { return assembleFig13(r, res) }
-
-// Fig13 computes the gmean WS improvement of every mechanism over REFab.
-func (r *Runner) Fig13() Fig13Result {
-	res, ok := r.RunAll(fig13Specs(r))
-	if !ok {
-		return Fig13Result{}
-	}
-	return assembleFig13(r, res)
 }
 
 func (f Fig13Result) String() string {
@@ -417,17 +366,6 @@ func assembleFig14(r *Runner, res Results) Fig14Result {
 		out.DSARPReduction = append(out.DSARPReduction, red)
 	}
 	return out
-}
-
-func assembleFig14Any(r *Runner, res Results) fmt.Stringer { return assembleFig14(r, res) }
-
-// Fig14 computes mean DRAM energy per access for every mechanism.
-func (r *Runner) Fig14() Fig14Result {
-	res, ok := r.RunAll(fig14Specs(r))
-	if !ok {
-		return Fig14Result{}
-	}
-	return assembleFig14(r, res)
 }
 
 func (f Fig14Result) String() string {
@@ -505,17 +443,6 @@ func assembleFig15(r *Runner, res Results) Fig15Result {
 	return out
 }
 
-func assembleFig15Any(r *Runner, res Results) fmt.Stringer { return assembleFig15(r, res) }
-
-// Fig15 computes DSARP's improvement over both baselines per category.
-func (r *Runner) Fig15() Fig15Result {
-	res, ok := r.RunAll(fig15Specs(r))
-	if !ok {
-		return Fig15Result{}
-	}
-	return assembleFig15(r, res)
-}
-
 func (f Fig15Result) String() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "Fig. 15 — DSARP WS improvement by intensity (%%):\n")
@@ -578,17 +505,6 @@ func assembleFig16(r *Runner, res Results) Fig16Result {
 		}
 	}
 	return out
-}
-
-func assembleFig16Any(r *Runner, res Results) fmt.Stringer { return assembleFig16(r, res) }
-
-// Fig16 compares fine granularity refresh and adaptive refresh with DSARP.
-func (r *Runner) Fig16() Fig16Result {
-	res, ok := r.RunAll(fig16Specs(r))
-	if !ok {
-		return Fig16Result{}
-	}
-	return assembleFig16(r, res)
 }
 
 func (f Fig16Result) String() string {

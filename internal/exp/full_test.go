@@ -26,7 +26,7 @@ func TestFig6LossesPositive(t *testing.T) {
 		t.Skip("expensive sweep")
 	}
 	r := NewRunner(microOpts())
-	f := r.Fig6()
+	f := runAs[Fig6Result](t, r, "fig6")
 	for _, row := range f.Rows {
 		if row.Overall <= 0 {
 			t.Errorf("%v: overall REFab loss %.1f%%, want positive", row.Density, row.Overall)
@@ -39,7 +39,7 @@ func TestFig14EnergyOrdering(t *testing.T) {
 		t.Skip("expensive sweep")
 	}
 	r := NewRunner(microOpts())
-	f := r.Fig14()
+	f := runAs[Fig14Result](t, r, "fig14")
 	if f.EPA[core.KindNoRef][0] >= f.EPA[core.KindREFab][0] {
 		t.Errorf("NoREF energy/access (%.2f) should undercut REFab (%.2f)",
 			f.EPA[core.KindNoRef][0], f.EPA[core.KindREFab][0])
@@ -54,7 +54,7 @@ func TestFig15AllCategoriesImprove(t *testing.T) {
 		t.Skip("expensive sweep")
 	}
 	r := NewRunner(microOpts())
-	f := r.Fig15()
+	f := runAs[Fig15Result](t, r, "fig15")
 	for _, cat := range f.Categories {
 		if f.OverAB[cat][0] <= 0 {
 			t.Errorf("category %d%%: DSARP gain over REFab %.1f%%, want positive", cat, f.OverAB[cat][0])
@@ -67,7 +67,7 @@ func TestTable3CoreCounts(t *testing.T) {
 		t.Skip("expensive sweep")
 	}
 	r := NewRunner(microOpts())
-	tab := r.Table3()
+	tab := runAs[Table3Result](t, r, "table3")
 	if len(tab.Rows) != 3 {
 		t.Fatalf("rows = %d, want 3 core counts", len(tab.Rows))
 	}
@@ -83,7 +83,7 @@ func TestTable4TFAWTrend(t *testing.T) {
 		t.Skip("expensive sweep")
 	}
 	r := NewRunner(microOpts())
-	tab := r.Table4()
+	tab := runAs[Table4Result](t, r, "table4")
 	// Paper Table 4: the benefit shrinks as tFAW grows (more ACT headroom
 	// means less to gain from parallelization). Check the endpoints.
 	if tab.Improve[0] < tab.Improve[len(tab.Improve)-1]-1.5 {
@@ -97,7 +97,7 @@ func TestTable6Retention64(t *testing.T) {
 		t.Skip("expensive sweep")
 	}
 	r := NewRunner(microOpts())
-	tab := r.Table6()
+	tab := runAs[Table6Result](t, r, "table6")
 	for _, row := range tab.Rows {
 		if row.GmeanAB <= 0 {
 			t.Errorf("%v: DSARP at 64ms should still improve over REFab, got %.1f%%",
@@ -113,7 +113,7 @@ func TestDARPBreakdownComponents(t *testing.T) {
 		t.Skip("expensive sweep")
 	}
 	r := NewRunner(microOpts())
-	tab := r.DARPBreakdown()
+	tab := runAs[BreakdownResult](t, r, "breakdown")
 	row := tab.Rows[0]
 	if row.OoOGmean <= 0 {
 		t.Errorf("out-of-order refresh should improve over REFab, got %.1f%%", row.OoOGmean)
@@ -128,7 +128,7 @@ func TestAblationsRun(t *testing.T) {
 		t.Skip("expensive sweep")
 	}
 	r := NewRunner(microOpts())
-	a := r.Ablations()
+	a := runAs[AblationResult](t, r, "ablations")
 	if len(a.Rows) != 5 {
 		t.Fatalf("ablations = %d, want 5 (D1..D5)", len(a.Rows))
 	}

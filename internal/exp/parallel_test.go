@@ -59,10 +59,10 @@ func TestGoldenTablesMatchSeed(t *testing.T) {
 		opts := goldenOpts()
 		opts.Parallelism = par
 		r := NewRunner(opts)
-		if got := r.Table2().String(); got != goldenTable2 {
+		if got := runAs[Table2Result](t, r, "table2").String(); got != goldenTable2 {
 			t.Errorf("Parallelism=%d: Table2 diverged from seed:\n got:\n%s\nwant:\n%s", par, got, goldenTable2)
 		}
-		if got := r.Fig13().String(); got != goldenFig13 {
+		if got := runAs[Fig13Result](t, r, "fig13").String(); got != goldenFig13 {
 			t.Errorf("Parallelism=%d: Fig13 diverged from seed:\n got:\n%s\nwant:\n%s", par, got, goldenFig13)
 		}
 	}
@@ -79,14 +79,14 @@ func TestParallelRunnerSharedRuns(t *testing.T) {
 	opts.Parallelism = 8
 	var mu sync.Mutex
 	seen := map[string]int{}
-	opts.Progress = func(_, _ int, label string) {
+	opts.Progress = func(_ int, label string) {
 		mu.Lock()
 		seen[label]++
 		mu.Unlock()
 	}
 	r := NewRunner(opts)
-	r.Table2()
-	r.Fig13()
+	runAs[Table2Result](t, r, "table2")
+	runAs[Fig13Result](t, r, "fig13")
 	for label, n := range seen {
 		if n != 1 {
 			t.Errorf("simulation %q ran %d times; in-flight dedup failed", label, n)
@@ -105,13 +105,14 @@ func TestRunPanicReleasesWaiters(t *testing.T) {
 	opts := goldenOpts()
 	opts.Parallelism = 2
 	r := NewRunner(opts)
-	bad := workload.Workload{Name: "bad"} // no benchmarks: sim.Run errors, run panics
+	// No benchmarks: sim.Run errors, so runSpec panics.
+	bad := r.specFor(workload.Workload{Name: "bad"}, core.KindNoRef, timing.Gb8, "")
 
 	results := make(chan any, 2)
 	for i := 0; i < 2; i++ {
 		go func() {
 			defer func() { results <- recover() }()
-			r.run(bad, core.KindNoRef, timing.Gb8, "", nil)
+			r.runSpec(bad, nil)
 		}()
 	}
 	for i := 0; i < 2; i++ {

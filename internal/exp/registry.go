@@ -39,7 +39,7 @@ func (res Results) get(r *Runner, wl workload.Workload, k core.Kind, d timing.De
 	return res.mustGet(r.specFor(wl, k, d, variant))
 }
 
-// aloneIPCs mirrors Runner.aloneIPCs against the result map.
+// aloneIPCs collects the alone-run IPC of every slot of a workload.
 func (res Results) aloneIPCs(r *Runner, wl workload.Workload) []float64 {
 	out := make([]float64, len(wl.Benchmarks))
 	for i, b := range wl.Benchmarks {
@@ -48,13 +48,13 @@ func (res Results) aloneIPCs(r *Runner, wl workload.Workload) []float64 {
 	return out
 }
 
-// ws mirrors Runner.WS against the result map: the weighted speedup of a
-// mechanism on a workload, normalized by the workload's alone runs.
+// ws is the weighted speedup of a mechanism on a workload, normalized by
+// the workload's alone runs.
 func (res Results) ws(r *Runner, wl workload.Workload, k core.Kind, d timing.Density, variant string) float64 {
 	return metrics.WeightedSpeedup(res.get(r, wl, k, d, variant).IPC, res.aloneIPCs(r, wl))
 }
 
-// wsSeries mirrors Runner.wsSeries against the result map.
+// wsSeries computes the weighted speedup of every workload in ws.
 func (res Results) wsSeries(r *Runner, ws []workload.Workload, k core.Kind, d timing.Density, variant string) []float64 {
 	out := make([]float64, len(ws))
 	for i := range ws {
@@ -67,7 +67,7 @@ func (res Results) wsSeries(r *Runner, ws []workload.Workload, k core.Kind, d ti
 // figure — in declarative form: a pure enumeration of the simulations it
 // needs and a pure assembly of its rendered result from their outcomes.
 // Between the two sits any execution strategy a caller likes: the runner's
-// local worker pool (the legacy Runner methods), the HTTP sweep machinery
+// local worker pool (Runner.RunExperiment), the HTTP sweep machinery
 // (POST /v1/experiments/{name}), or a client splitting the specs across a
 // fleet of dsarpd workers and assembling locally.
 type Experiment struct {
@@ -88,9 +88,9 @@ func (e Experiment) Specs(r *Runner) []SimSpec { return e.specs(r) }
 
 // Assemble renders the experiment from a result map holding (at least)
 // every spec the experiment enumerates. It runs no simulations; a missing
-// or undecodable result surfaces as an error. The returned value is the
-// same concrete XResult type the corresponding legacy Runner method
-// returns, so String() output is byte-identical across the two paths.
+// or undecodable result surfaces as an error. The returned value's
+// concrete type is the experiment's result type (Table2Result, Fig12Set,
+// ...); callers that need its fields type-assert it.
 func (e Experiment) Assemble(r *Runner, res Results) (out fmt.Stringer, err error) {
 	defer func() {
 		if v := recover(); v != nil {
@@ -103,22 +103,28 @@ func (e Experiment) Assemble(r *Runner, res Results) (out fmt.Stringer, err erro
 // registry holds every experiment in the canonical presentation order of
 // cmd/experiments (the paper's own ordering of tables and figures).
 var registry = []Experiment{
-	{Name: "fig5", Title: "Fig. 5 — tRFCab scaling trend", specs: fig5Specs, assemble: assembleFig5Any},
-	{Name: "fig6", Title: "Fig. 6 — REFab performance loss by intensity", specs: fig6Specs, assemble: assembleFig6Any},
-	{Name: "fig7", Title: "Fig. 7 — REFab vs REFpb performance loss", specs: fig7Specs, assemble: assembleFig7Any},
-	{Name: "fig12", Title: "Fig. 12 — sorted per-workload improvement curves", specs: fig12AllSpecs, assemble: assembleFig12SetAny},
-	{Name: "table2", Title: "Table 2 — max & gmean WS improvement", specs: table2Specs, assemble: assembleTable2Any},
-	{Name: "fig13", Title: "Fig. 13 — average WS improvement, all mechanisms", specs: fig13Specs, assemble: assembleFig13Any},
-	{Name: "breakdown", Title: "§6.1.2 — DARP component breakdown", specs: breakdownSpecs, assemble: assembleBreakdownAny},
-	{Name: "fig14", Title: "Fig. 14 — DRAM energy per access", specs: fig14Specs, assemble: assembleFig14Any},
-	{Name: "fig15", Title: "Fig. 15 — DSARP improvement by memory intensity", specs: fig15Specs, assemble: assembleFig15Any},
-	{Name: "table3", Title: "Table 3 — core-count sensitivity", specs: table3Specs, assemble: assembleTable3Any},
-	{Name: "table4", Title: "Table 4 — tFAW/tRRD sensitivity", specs: table4Specs, assemble: assembleTable4Any},
-	{Name: "table5", Title: "Table 5 — subarrays-per-bank sensitivity", specs: table5Specs, assemble: assembleTable5Any},
-	{Name: "table6", Title: "Table 6 — DSARP at 64 ms retention", specs: table6Specs, assemble: assembleTable6Any},
-	{Name: "fig16", Title: "Fig. 16 — DDR4 FGR and adaptive refresh", specs: fig16Specs, assemble: assembleFig16Any},
-	{Name: "ablations", Title: "DESIGN.md §4 design-choice ablations", specs: ablationSpecs, assemble: assembleAblationsAny},
-	{Name: "pausing", Title: "Extension — refresh pausing comparison", specs: pausingSpecs, assemble: assemblePausingAny},
+	{Name: "fig5", Title: "Fig. 5 — tRFCab scaling trend", specs: fig5Specs, assemble: stringer(assembleFig5)},
+	{Name: "fig6", Title: "Fig. 6 — REFab performance loss by intensity", specs: fig6Specs, assemble: stringer(assembleFig6)},
+	{Name: "fig7", Title: "Fig. 7 — REFab vs REFpb performance loss", specs: fig7Specs, assemble: stringer(assembleFig7)},
+	{Name: "fig12", Title: "Fig. 12 — sorted per-workload improvement curves", specs: fig12AllSpecs, assemble: stringer(assembleFig12Set)},
+	{Name: "table2", Title: "Table 2 — max & gmean WS improvement", specs: table2Specs, assemble: stringer(assembleTable2)},
+	{Name: "fig13", Title: "Fig. 13 — average WS improvement, all mechanisms", specs: fig13Specs, assemble: stringer(assembleFig13)},
+	{Name: "breakdown", Title: "§6.1.2 — DARP component breakdown", specs: breakdownSpecs, assemble: stringer(assembleBreakdown)},
+	{Name: "fig14", Title: "Fig. 14 — DRAM energy per access", specs: fig14Specs, assemble: stringer(assembleFig14)},
+	{Name: "fig15", Title: "Fig. 15 — DSARP improvement by memory intensity", specs: fig15Specs, assemble: stringer(assembleFig15)},
+	{Name: "table3", Title: "Table 3 — core-count sensitivity", specs: table3Specs, assemble: stringer(assembleTable3)},
+	{Name: "table4", Title: "Table 4 — tFAW/tRRD sensitivity", specs: table4Specs, assemble: stringer(assembleTable4)},
+	{Name: "table5", Title: "Table 5 — subarrays-per-bank sensitivity", specs: table5Specs, assemble: stringer(assembleTable5)},
+	{Name: "table6", Title: "Table 6 — DSARP at 64 ms retention", specs: table6Specs, assemble: stringer(assembleTable6)},
+	{Name: "fig16", Title: "Fig. 16 — DDR4 FGR and adaptive refresh", specs: fig16Specs, assemble: stringer(assembleFig16)},
+	{Name: "ablations", Title: "DESIGN.md §4 design-choice ablations", specs: ablationSpecs, assemble: stringer(assembleAblations)},
+	{Name: "pausing", Title: "Extension — refresh pausing comparison", specs: pausingSpecs, assemble: stringer(assemblePausing)},
+}
+
+// stringer adapts a typed assemble function to the registry's fmt.Stringer
+// form; the concrete result type survives behind the interface.
+func stringer[T fmt.Stringer](assemble func(*Runner, Results) T) func(*Runner, Results) fmt.Stringer {
+	return func(r *Runner, res Results) fmt.Stringer { return assemble(r, res) }
 }
 
 // Experiments returns every registered experiment in canonical order.
@@ -201,8 +207,7 @@ func (r *Runner) RunExperiment(name string) (fmt.Stringer, error) {
 
 // specList accumulates an experiment's spec enumeration: run specs in
 // append order, alone-run specs collected separately and appended at the
-// end (the historical Table2Specs layout), everything deduplicated by
-// content key.
+// end, everything deduplicated by content key.
 type specList struct {
 	runs   []SimSpec
 	alones []SimSpec

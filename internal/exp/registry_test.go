@@ -2,6 +2,8 @@ package exp
 
 import (
 	"fmt"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -23,56 +25,51 @@ func registryOpts() Options {
 	}
 }
 
-// legacyMethods maps every registry entry to its historical Runner method,
-// rendered the way cmd/experiments always rendered it (fig12 concatenates
-// the per-density panels).
-func legacyMethods(r *Runner) map[string]func() string {
-	fig12 := func() string {
-		parts := make([]string, len(r.Options().Densities))
-		for i, d := range r.Options().Densities {
-			parts[i] = r.Fig12(d).String()
-		}
-		return strings.Join(parts, "\n")
+// registryGolden reads an experiment's pinned render at registryOpts().
+// The fixtures under testdata/registry/ were rendered by the per-experiment
+// Runner methods that predate the registry, so they pin the registry to
+// the historical output byte for byte.
+func registryGolden(t *testing.T, name string) string {
+	t.Helper()
+	data, err := os.ReadFile(filepath.Join("testdata", "registry", name+".txt"))
+	if err != nil {
+		t.Fatal(err)
 	}
-	return map[string]func() string{
-		"fig5":      func() string { return r.Fig5().String() },
-		"fig6":      func() string { return r.Fig6().String() },
-		"fig7":      func() string { return r.Fig7().String() },
-		"fig12":     fig12,
-		"table2":    func() string { return r.Table2().String() },
-		"fig13":     func() string { return r.Fig13().String() },
-		"breakdown": func() string { return r.DARPBreakdown().String() },
-		"fig14":     func() string { return r.Fig14().String() },
-		"fig15":     func() string { return r.Fig15().String() },
-		"table3":    func() string { return r.Table3().String() },
-		"table4":    func() string { return r.Table4().String() },
-		"table5":    func() string { return r.Table5().String() },
-		"table6":    func() string { return r.Table6().String() },
-		"fig16":     func() string { return r.Fig16().String() },
-		"ablations": func() string { return r.Ablations().String() },
-		"pausing":   func() string { return r.PausingComparison().String() },
-	}
+	return string(data)
 }
 
-// TestRegistryMatchesLegacy is the registry's equivalence contract, for
-// every entry: (a) the legacy Runner method and (b) enumerate specs →
-// results from the content-addressed store → pure Assemble render
-// byte-identical output, and the assembly pass runs zero simulations.
-// Phase (b) deliberately reads raw store bytes through DecodeResult on a
+// TestRegistryMatchesGolden is the registry's output contract, for every
+// entry, byte for byte against its fixture: (a) a cold RunExperiment, (b)
+// enumerate specs → results from the content-addressed store → pure
+// Assemble with zero simulations, and (c) a warm rerun over the same store
+// with zero simulations — the resume path of an interrupted fleet. Phase
+// (b) deliberately reads raw store bytes through DecodeResult on a
 // store-less runner — exactly what a fleet client does after fetching
 // results from dsarpd workers.
-func TestRegistryMatchesLegacy(t *testing.T) {
+func TestRegistryMatchesGolden(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs the complete registry")
+	}
+	fixtures, err := filepath.Glob(filepath.Join("testdata", "registry", "*.txt"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(fixtures) != len(Experiments()) {
+		t.Errorf("%d registry fixtures for %d experiments", len(fixtures), len(Experiments()))
 	}
 	st := openStore(t)
 	opts := registryOpts()
 	opts.Store = st
 
 	cold := NewRunner(opts)
-	legacy := map[string]string{}
-	for name, fn := range legacyMethods(cold) {
-		legacy[name] = fn()
+	for _, e := range Experiments() {
+		out, err := cold.RunExperiment(e.Name)
+		if err != nil {
+			t.Fatalf("%s: %v", e.Name, err)
+		}
+		if got, want := out.String(), registryGolden(t, e.Name); got != want {
+			t.Errorf("%s: cold render diverged from golden:\n got:\n%s\nwant:\n%s", e.Name, got, want)
+		}
 	}
 	if cold.SimsRun() == 0 {
 		t.Fatal("cold pass executed no simulations")
@@ -99,21 +96,24 @@ func TestRegistryMatchesLegacy(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: assemble: %v", e.Name, err)
 		}
-		if got := out.String(); got != legacy[e.Name] {
-			t.Errorf("%s: store-assembled output diverged from legacy method:\n got:\n%s\nwant:\n%s",
-				e.Name, got, legacy[e.Name])
+		if got, want := out.String(), registryGolden(t, e.Name); got != want {
+			t.Errorf("%s: store-assembled render diverged from golden:\n got:\n%s\nwant:\n%s", e.Name, got, want)
 		}
 	}
 	if n := assembler.SimsRun(); n != 0 {
 		t.Errorf("assembly pass executed %d simulations, want 0", n)
 	}
 
-	// And the legacy wrappers over a warm store: byte-identical again,
-	// still zero simulations — the resume path of an interrupted fleet.
+	// A warm rerun over the same store: byte-identical again, still zero
+	// simulations.
 	warm := NewRunner(opts)
-	for name, fn := range legacyMethods(warm) {
-		if got := fn(); got != legacy[name] {
-			t.Errorf("%s: warm-store rerun diverged", name)
+	for _, e := range Experiments() {
+		out, err := warm.RunExperiment(e.Name)
+		if err != nil {
+			t.Fatalf("%s: %v", e.Name, err)
+		}
+		if out.String() != registryGolden(t, e.Name) {
+			t.Errorf("%s: warm-store rerun diverged from golden", e.Name)
 		}
 	}
 	if n := warm.SimsRun(); n != 0 {
@@ -206,10 +206,10 @@ func TestFig5ZeroSpecs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if out.String() != r.Fig5().String() {
-		t.Error("fig5 registry render diverged from legacy method")
+	if out.String() != registryGolden(t, "fig5") {
+		t.Error("fig5 render from an empty result map diverged from golden")
 	}
-	if s, err := r.RunExperiment("fig5"); err != nil || s.String() != r.Fig5().String() {
+	if s, err := r.RunExperiment("fig5"); err != nil || s.String() != out.String() {
 		t.Errorf("RunExperiment(fig5): %v", err)
 	}
 }

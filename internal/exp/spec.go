@@ -275,11 +275,3 @@ func (r *Runner) AloneSpec(prof trace.Profile) SimSpec {
 	wl := workload.Workload{Name: "alone." + prof.Name, Benchmarks: []trace.Profile{prof}}
 	return r.specFor(wl, core.KindNoRef, timing.Gb8, "")
 }
-
-// Table2Specs enumerates every simulation Table 2 needs — the five
-// mechanisms across the runner's mixes and densities, plus the alone runs
-// behind the weighted-speedup normalization — in a deterministic order.
-// Feeding these through a store-backed runner or the serving layer warms
-// the store so Table2 itself runs without a single simulation. It is the
-// registry's "table2" enumeration, kept as a named method for clients.
-func (r *Runner) Table2Specs() []SimSpec { return table2Specs(r) }

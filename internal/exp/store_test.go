@@ -25,7 +25,7 @@ func openStore(t *testing.T) *store.Store {
 // byte.
 func TestResultJSONRoundTrip(t *testing.T) {
 	r := NewRunner(tinyOpts())
-	res := r.run(r.Mixes()[0], core.KindDSARP, timing.Gb32, "", nil)
+	res, _ := runOne(t, r, r.specFor(r.Mixes()[0], core.KindDSARP, timing.Gb32, ""))
 	data, err := EncodeResult(res)
 	if err != nil {
 		t.Fatal(err)
@@ -54,8 +54,8 @@ func TestWarmStoreRestart(t *testing.T) {
 	opts.Store = st
 
 	cold := NewRunner(opts)
-	table2 := cold.Table2().String()
-	fig13 := cold.Fig13().String()
+	table2 := runAs[Table2Result](t, cold, "table2").String()
+	fig13 := runAs[Fig13Result](t, cold, "fig13").String()
 	if table2 != goldenTable2 || fig13 != goldenFig13 {
 		t.Fatalf("store-backed cold run diverged from golden tables:\n%s\n%s", table2, fig13)
 	}
@@ -64,10 +64,10 @@ func TestWarmStoreRestart(t *testing.T) {
 	}
 
 	warm := NewRunner(opts) // fresh in-memory cache, same store
-	if got := warm.Table2().String(); got != goldenTable2 {
+	if got := runAs[Table2Result](t, warm, "table2").String(); got != goldenTable2 {
 		t.Errorf("warm Table2 diverged:\n got:\n%s\nwant:\n%s", got, goldenTable2)
 	}
-	if got := warm.Fig13().String(); got != goldenFig13 {
+	if got := runAs[Fig13Result](t, warm, "fig13").String(); got != goldenFig13 {
 		t.Errorf("warm Fig13 diverged:\n got:\n%s\nwant:\n%s", got, goldenFig13)
 	}
 	if n := warm.SimsRun(); n != 0 {
@@ -87,14 +87,14 @@ func TestWarmStoreSurvivesPartialResults(t *testing.T) {
 	opts.Store = st
 	r1 := NewRunner(opts)
 	wl := r1.Mixes()[0]
-	r1.run(wl, core.KindREFab, timing.Gb8, "", nil)
+	runOne(t, r1, r1.specFor(wl, core.KindREFab, timing.Gb8, ""))
 	if r1.SimsRun() != 1 {
 		t.Fatalf("SimsRun = %d, want 1", r1.SimsRun())
 	}
 
 	r2 := NewRunner(opts)
-	r2.run(wl, core.KindREFab, timing.Gb8, "", nil) // from store
-	r2.run(wl, core.KindREFpb, timing.Gb8, "", nil) // missing: computes
+	runOne(t, r2, r2.specFor(wl, core.KindREFab, timing.Gb8, "")) // from store
+	runOne(t, r2, r2.specFor(wl, core.KindREFpb, timing.Gb8, "")) // missing: computes
 	if r2.SimsRun() != 1 || r2.StoreHits() != 1 {
 		t.Errorf("SimsRun=%d StoreHits=%d, want 1 and 1", r2.SimsRun(), r2.StoreHits())
 	}
@@ -227,22 +227,23 @@ func TestVariantModsMatchInternalSweeps(t *testing.T) {
 }
 
 // TestRunSpecMatchesInternalRun: the serving-layer entry point returns the
-// byte-identical result and shares the cache with the internal path.
+// byte-identical result and shares the cache with the experiment path
+// (RunAll).
 func TestRunSpecMatchesInternalRun(t *testing.T) {
 	r := NewRunner(tinyOpts())
-	wl := r.Mixes()[0]
-	direct := r.run(wl, core.KindREFab, timing.Gb8, "", nil)
-	res, src, err := r.RunSpec(r.specFor(wl, core.KindREFab, timing.Gb8, ""))
-	if err != nil {
-		t.Fatal(err)
+	spec := r.specFor(r.Mixes()[0], core.KindREFab, timing.Gb8, "")
+	direct, ok := r.RunAll([]SimSpec{spec})
+	if !ok {
+		t.Fatal("RunAll withheld its results")
 	}
+	res, src := runOne(t, r, spec)
 	if src != SourceMemory {
-		t.Errorf("source = %v, want memory (internal run already cached it)", src)
+		t.Errorf("source = %v, want memory (RunAll already cached it)", src)
 	}
-	if !reflect.DeepEqual(direct, res) {
-		t.Error("RunSpec result differs from internal run")
+	if !reflect.DeepEqual(direct[spec.Key()], res) {
+		t.Error("RunSpecInfo result differs from RunAll's")
 	}
-	if _, _, err := r.RunSpec(SimSpec{Name: "broken"}); err == nil {
+	if _, _, err := r.RunSpecInfo(SimSpec{Name: "broken"}); err == nil {
 		t.Error("invalid spec did not error")
 	}
 }
@@ -256,9 +257,9 @@ func TestEphemeralResultsBoundMemory(t *testing.T) {
 	opts.Store = openStore(t)
 	opts.EphemeralResults = true
 	r := NewRunner(opts)
-	wl := r.Mixes()[0]
-	first := r.run(wl, core.KindREFab, timing.Gb8, "", nil)
-	if got := r.run(wl, core.KindREFab, timing.Gb8, "", nil); !reflect.DeepEqual(first, got) {
+	spec := r.specFor(r.Mixes()[0], core.KindREFab, timing.Gb8, "")
+	first, _ := runOne(t, r, spec)
+	if got, _ := runOne(t, r, spec); !reflect.DeepEqual(first, got) {
 		t.Error("store re-read diverged from the computed result")
 	}
 	if n := r.SimsRun(); n != 1 {
@@ -279,8 +280,8 @@ func TestEphemeralResultsBoundMemory(t *testing.T) {
 	opts2 := tinyOpts()
 	opts2.EphemeralResults = true
 	r2 := NewRunner(opts2)
-	r2.run(wl, core.KindREFab, timing.Gb8, "", nil)
-	r2.run(wl, core.KindREFab, timing.Gb8, "", nil)
+	runOne(t, r2, spec)
+	runOne(t, r2, spec)
 	if n := r2.SimsRun(); n != 1 {
 		t.Errorf("store-less EphemeralResults recomputed: SimsRun = %d, want 1", n)
 	}
@@ -292,7 +293,10 @@ func TestInterruptStopsScheduling(t *testing.T) {
 		opts.Parallelism = par
 		r := NewRunner(opts)
 		r.Interrupt()
-		r.Table2() // must return promptly without simulating
+		// Must return promptly without simulating, and assemble no table.
+		if out, err := r.RunExperiment("table2"); out != nil || err != nil {
+			t.Errorf("Parallelism=%d: interrupted RunExperiment = %v, %v; want nil, nil", par, out, err)
+		}
 		if n := r.SimsRun(); n != 0 {
 			t.Errorf("Parallelism=%d: interrupted runner still ran %d simulations", par, n)
 		}

@@ -12,11 +12,10 @@ import (
 )
 
 // Every table in this file follows the registry decomposition: a specs
-// function enumerating the simulations it needs, an assemble function
-// computing the table purely from a Results map, and the legacy Runner
-// method as a thin run-everything-then-assemble wrapper. The assembly
-// loops are kept line-for-line equivalent to the historical interleaved
-// code, so the rendered tables are byte-identical on both paths.
+// function enumerating the simulations it needs and an assemble function
+// computing the table purely from a Results map. The assembly loops are
+// kept line-for-line equivalent to the historical interleaved code, so the
+// rendered tables match the golden fixtures byte for byte.
 
 // --- Table 2: max & gmean WS improvement over both baselines ---
 
@@ -71,18 +70,6 @@ func assembleTable2(r *Runner, res Results) Table2Result {
 		}
 	}
 	return out
-}
-
-func assembleTable2Any(r *Runner, res Results) fmt.Stringer { return assembleTable2(r, res) }
-
-// Table2 computes maximum and average WS improvement of DARP, SARPpb and
-// DSARP over REFpb and REFab at each density.
-func (r *Runner) Table2() Table2Result {
-	res, ok := r.RunAll(table2Specs(r))
-	if !ok {
-		return Table2Result{}
-	}
-	return assembleTable2(r, res)
 }
 
 func (t Table2Result) String() string {
@@ -140,17 +127,6 @@ func assembleBreakdown(r *Runner, res Results) BreakdownResult {
 		})
 	}
 	return out
-}
-
-func assembleBreakdownAny(r *Runner, res Results) fmt.Stringer { return assembleBreakdown(r, res) }
-
-// DARPBreakdown separates the gains of DARP's two components.
-func (r *Runner) DARPBreakdown() BreakdownResult {
-	res, ok := r.RunAll(breakdownSpecs(r))
-	if !ok {
-		return BreakdownResult{}
-	}
-	return assembleBreakdown(r, res)
 }
 
 func (t BreakdownResult) String() string {
@@ -229,17 +205,6 @@ func assembleTable3(r *Runner, res Results) Table3Result {
 	return out
 }
 
-func assembleTable3Any(r *Runner, res Results) fmt.Stringer { return assembleTable3(r, res) }
-
-// Table3 evaluates DSARP vs REFab on 2/4/8-core systems.
-func (r *Runner) Table3() Table3Result {
-	res, ok := r.RunAll(table3Specs(r))
-	if !ok {
-		return Table3Result{}
-	}
-	return assembleTable3(r, res)
-}
-
 func (t Table3Result) String() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "Table 3 — DSARP vs REFab, 32Gb intensive (%%):\n%6s %8s %8s %12s %8s\n",
@@ -289,20 +254,6 @@ func assembleTable4(r *Runner, res Results) Table4Result {
 		out.Improve = append(out.Improve, stats.PctImprovement(stats.Gmean(ratios)))
 	}
 	return out
-}
-
-func assembleTable4Any(r *Runner, res Results) fmt.Stringer { return assembleTable4(r, res) }
-
-// Table4 sweeps tFAW on the 32 Gb intensive workloads. The tfawN variants
-// come from the variant registry: the variant string is the store key's
-// only window into the modification, so there must be exactly one
-// definition of what it does.
-func (r *Runner) Table4() Table4Result {
-	res, ok := r.RunAll(table4Specs(r))
-	if !ok {
-		return Table4Result{}
-	}
-	return assembleTable4(r, res)
 }
 
 func (t Table4Result) String() string {
@@ -358,17 +309,6 @@ func assembleTable5(r *Runner, res Results) Table5Result {
 		out.Improve = append(out.Improve, stats.PctImprovement(stats.Gmean(ratios)))
 	}
 	return out
-}
-
-func assembleTable5Any(r *Runner, res Results) fmt.Stringer { return assembleTable5(r, res) }
-
-// Table5 sweeps subarrays per bank on the 32 Gb intensive workloads.
-func (r *Runner) Table5() Table5Result {
-	res, ok := r.RunAll(table5Specs(r))
-	if !ok {
-		return Table5Result{}
-	}
-	return assembleTable5(r, res)
 }
 
 func (t Table5Result) String() string {
@@ -428,17 +368,6 @@ func assembleTable6(r *Runner, res Results) Table6Result {
 		})
 	}
 	return out
-}
-
-func assembleTable6Any(r *Runner, res Results) fmt.Stringer { return assembleTable6(r, res) }
-
-// Table6 evaluates DSARP with tREFIab = 7.8 us (64 ms retention).
-func (r *Runner) Table6() Table6Result {
-	res, ok := r.RunAll(table6Specs(r))
-	if !ok {
-		return Table6Result{}
-	}
-	return assembleTable6(r, res)
 }
 
 func (t Table6Result) String() string {

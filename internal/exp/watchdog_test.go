@@ -22,7 +22,7 @@ func watchdogSpec() SimSpec {
 	}
 }
 
-// TestSimTimeoutAborts: with a vanishing wall-clock budget, RunSpec
+// TestSimTimeoutAborts: with a vanishing wall-clock budget, RunSpecInfo
 // surfaces ErrSimTimeout, executes no lasting work (nothing cached or
 // stored), and a runner without the budget still computes the same spec.
 func TestSimTimeoutAborts(t *testing.T) {
@@ -34,9 +34,9 @@ func TestSimTimeoutAborts(t *testing.T) {
 		Store:      openStore(t),
 	}
 	r := NewRunner(opts)
-	_, _, err := r.RunSpec(watchdogSpec())
+	_, _, err := r.RunSpecInfo(watchdogSpec())
 	if !errors.Is(err, ErrSimTimeout) {
-		t.Fatalf("RunSpec under 1ns budget = %v, want ErrSimTimeout", err)
+		t.Fatalf("RunSpecInfo under 1ns budget = %v, want ErrSimTimeout", err)
 	}
 	if n := r.SimsRun(); n != 0 {
 		t.Errorf("aborted run counted as %d completed sims", n)
@@ -51,8 +51,8 @@ func TestSimTimeoutAborts(t *testing.T) {
 	spec := watchdogSpec()
 	spec.Measure = 8_000 // small enough to finish promptly
 	r2 := NewRunner(opts)
-	if _, src, err := r2.RunSpec(spec); err != nil || src != SourceComputed {
-		t.Fatalf("retry = src %v err %v, want clean compute", src, err)
+	if _, info, err := r2.RunSpecInfo(spec); err != nil || info.Source != SourceComputed {
+		t.Fatalf("retry = src %v err %v, want clean compute", info.Source, err)
 	}
 }
 
@@ -68,13 +68,13 @@ func TestSimTimeoutSparesCachedResults(t *testing.T) {
 	}
 	spec := watchdogSpec()
 	spec.Measure = 8_000
-	if _, _, err := NewRunner(warmOpts).RunSpec(spec); err != nil {
+	if _, _, err := NewRunner(warmOpts).RunSpecInfo(spec); err != nil {
 		t.Fatal(err)
 	}
 
 	warmOpts.SimTimeout = time.Nanosecond
 	r := NewRunner(warmOpts)
-	if _, src, err := r.RunSpec(spec); err != nil || src != SourceStore {
-		t.Fatalf("warm hit under 1ns budget = src %v err %v, want store hit", src, err)
+	if _, info, err := r.RunSpecInfo(spec); err != nil || info.Source != SourceStore {
+		t.Fatalf("warm hit under 1ns budget = src %v err %v, want store hit", info.Source, err)
 	}
 }

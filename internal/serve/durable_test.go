@@ -144,7 +144,7 @@ func TestSSEAcrossRestart(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("table after restart: %d %s", resp.StatusCode, tbl)
 	}
-	if want := exp.NewRunner(opts).Fig7().String(); string(tbl) != want {
+	if want := localTable(t, opts, "fig7"); string(tbl) != want {
 		t.Errorf("post-crash table diverged from local compute:\n got:\n%s\nwant:\n%s", tbl, want)
 	}
 

@@ -364,7 +364,7 @@ func TestCheckpointTravelsToPeer(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, _, err := cold.RunSpec(preparedCold)
+	want, _, err := cold.RunSpecInfo(preparedCold)
 	if err != nil {
 		t.Fatal(err)
 	}

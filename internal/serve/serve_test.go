@@ -33,6 +33,17 @@ func tinyOpts() exp.Options {
 	}
 }
 
+// localTable renders a registry experiment on a fresh local runner: the
+// reference an HTTP-assembled table must match byte for byte.
+func localTable(t *testing.T, opts exp.Options, name string) string {
+	t.Helper()
+	out, err := exp.NewRunner(opts).RunExperiment(name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out.String()
+}
+
 type testService struct {
 	*Server
 	runner *exp.Runner
@@ -466,8 +477,7 @@ func TestTable2OverHTTPWarmsLocalRunner(t *testing.T) {
 		Densities:   []timing.Density{timing.Gb8, timing.Gb32},
 	}
 	coldStart := time.Now()
-	direct := exp.NewRunner(opts)
-	want := direct.Table2().String()
+	want := localTable(t, opts, "table2")
 	coldElapsed := time.Since(coldStart)
 
 	st, err := store.Open(t.TempDir(), store.Options{})
@@ -475,7 +485,8 @@ func TestTable2OverHTTPWarmsLocalRunner(t *testing.T) {
 		t.Fatal(err)
 	}
 	s := newService(t, opts, Config{Workers: 4, MaxQueue: 512}, st)
-	specs := s.runner.Table2Specs()
+	table2, _ := exp.LookupExperiment("table2")
+	specs := table2.Specs(s.runner)
 	resp, body := s.post(t, "/v1/sweep", sweepRequest{Name: "table2", Specs: specs})
 	if resp.StatusCode != http.StatusAccepted {
 		t.Fatalf("sweep: %d %s", resp.StatusCode, body)
@@ -489,7 +500,11 @@ func TestTable2OverHTTPWarmsLocalRunner(t *testing.T) {
 
 	warmStart := time.Now()
 	warm := exp.NewRunner(func() exp.Options { o := opts; o.Store = s.store; return o }())
-	got := warm.Table2().String()
+	out, err := warm.RunExperiment("table2")
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := out.String()
 	warmElapsed := time.Since(warmStart)
 
 	if got != want {
@@ -570,7 +585,7 @@ func TestExperimentEndpoints(t *testing.T) {
 	if ct := resp.Header.Get("Content-Type"); !strings.HasPrefix(ct, "text/plain") {
 		t.Errorf("table Content-Type = %q", ct)
 	}
-	want := exp.NewRunner(tinyOpts()).Fig7().String()
+	want := localTable(t, tinyOpts(), "fig7")
 	if string(body) != want {
 		t.Errorf("HTTP-assembled fig7 diverged from local compute:\n got:\n%s\nwant:\n%s", body, want)
 	}
@@ -636,7 +651,7 @@ func TestExperimentZeroSpecs(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("fig5 table: %d %s", resp.StatusCode, body)
 	}
-	if want := exp.NewRunner(tinyOpts()).Fig5().String(); string(body) != want {
+	if want := localTable(t, tinyOpts(), "fig5"); string(body) != want {
 		t.Error("fig5 table diverged")
 	}
 	// Its SSE stream is just the done event — and it replays.
