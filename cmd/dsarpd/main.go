@@ -244,7 +244,11 @@ func mainImpl() int {
 			fmt.Fprintf(os.Stderr, "%v\n", err)
 			return 1
 		}
-		defer trace.Close()
+		defer func() {
+			if err := trace.Close(); err != nil {
+				logger.Warn("flight recorder", "err", err)
+			}
+		}()
 		logger.Info("flight recorder open", "path", *tracePath)
 	}
 
@@ -307,11 +311,6 @@ func mainImpl() int {
 	}
 	if debugSrv != nil {
 		debugSrv.Shutdown(ctx)
-	}
-	if trace != nil {
-		if err := trace.Close(); err != nil {
-			logger.Warn("flight recorder close", "err", err)
-		}
 	}
 	logger.Info("dsarpd stopped")
 	return 0

@@ -9,7 +9,7 @@
 // Usage:
 //
 //	fleet -addrs http://host1:8080,http://host2:8080 -experiment table2
-//	      [-journal run.journal] [-store DIR [-store-max-mb N]]
+//	      [-store DIR [-store-max-mb N]]
 //	      [-scale default|paper] [-percat N] [-sensitivity N]
 //	      [-warmup N] [-measure N] [-seed N] [-engine event|cycle]
 //	      [-timeout DUR] [-concurrency N] [-max-attempts N] [-replicas R]
@@ -27,19 +27,20 @@
 // experiment's specs locally at this scale, so it needs no agreement
 // with the workers' own flags — specs travel fully resolved.
 //
-// -journal names an append-only run journal: if the command dies (or is
-// interrupted), rerunning it with the same journal resumes where it
-// left off instead of starting over. -store keeps fetched results in a
-// local content-addressed store, so a resumed run re-dispatches nothing
-// that already landed.
+// -store keeps fetched results in a local content-addressed store: if
+// the command dies (or is interrupted), rerunning it with the same -store
+// resumes where it left off instead of starting over. Specs already in
+// the store are not dispatched, and a spec dispatched again is a warm hit
+// on a worker that already holds it.
 //
 // -trace appends the run's trace-of-record to a JSONL flight recorder:
 // a run header, then one span per dispatch attempt (worker, status or
 // retry cause, wall time) and one terminal span per spec (serving
 // source, or the permanent failure). The run's trace ID travels to the
 // workers as X-Dsarp-Trace, so a dsarpd started with its own -trace
-// records the server side of the same story. -trace-report replays a
-// recorded file into per-spec attempt-chain summaries and exits.
+// records the server side of the same story. A rerun appends a second
+// run to the same file. -trace-report replays a recorded file into
+// per-spec attempt-chain summaries, one report per run, and exits.
 //
 // -progress logs a heartbeat at the given period: dispatched/done/
 // retried/failed so far, the computed-vs-warm split, and an ETA from an
@@ -76,8 +77,7 @@ func mainImpl() int {
 	var (
 		addrs       = flag.String("addrs", "", "comma-separated dsarpd base URLs (required)")
 		experiment  = flag.String("experiment", "", "registry experiment to reproduce (required; see cmd/experiments -list)")
-		journal     = flag.String("journal", "", "append-only run journal; rerun with the same file to resume")
-		storeDir    = flag.String("store", "", "local result store directory ('' disables; resumed runs skip stored specs)")
+		storeDir    = flag.String("store", "", "local result store directory; rerun with the same one to resume ('' disables)")
 		storeMaxMB  = flag.Int64("store-max-mb", 0, "local store size cap in MiB (0 = unlimited)")
 		engine      = flag.String("engine", "event", "simulation engine baked into enumerated specs")
 		warmup      = flag.Int64("warmup", 0, "override warmup (DRAM cycles)")
@@ -105,12 +105,14 @@ func mainImpl() int {
 			fmt.Fprintf(os.Stderr, "%v\n", err)
 			return 1
 		}
-		report, err := telemetry.BuildReport(spans)
+		reports, err := telemetry.BuildReports(spans)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "%v\n", err)
 			return 1
 		}
-		fmt.Print(report.String())
+		for _, report := range reports {
+			fmt.Print(report.String())
+		}
 		return 0
 	}
 
@@ -156,7 +158,6 @@ func mainImpl() int {
 		Concurrency:    *concurrency,
 		MaxAttempts:    *maxAttempts,
 		Replicas:       *replicas,
-		Journal:        *journal,
 		Log:            logger,
 		Progress:       *progress,
 	}
@@ -186,7 +187,7 @@ func mainImpl() int {
 		return 2
 	}
 
-	// SIGINT/SIGTERM cancel the run; the journal (if any) resumes it.
+	// SIGINT/SIGTERM cancel the run; rerunning with the same -store resumes it.
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 
@@ -202,18 +203,13 @@ func mainImpl() int {
 	}
 	if trace != nil {
 		if cerr := trace.Close(); cerr != nil {
-			logger.Warn("flight recorder close", "err", cerr)
-		} else if werr := trace.Err(); werr != nil {
-			logger.Warn("flight recorder dropped spans", "err", werr)
+			logger.Warn("flight recorder", "err", cerr)
 		} else {
 			logger.Info("trace written", "path", *tracePath)
 		}
 	}
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "%v\n", err)
-		if ctx.Err() != nil && *journal == "" {
-			fmt.Fprintln(os.Stderr, "fleet: hint: pass -journal to make interrupted runs resumable")
-		}
 		return 1
 	}
 	fmt.Print(table.String())

@@ -2,7 +2,6 @@ package fleet
 
 import (
 	"context"
-	"path/filepath"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -52,7 +51,6 @@ func TestChaosWorkerKilledMidRun(t *testing.T) {
 	victim.start(chaos)
 
 	cfg := testConfig(w1.url(), w2.url(), victim.url())
-	cfg.Journal = filepath.Join(t.TempDir(), "run.journal")
 	o := mustOrch(t, cfg)
 	r := exp.NewRunner(opts) // enumeration scale only; runs no sims
 

@@ -14,10 +14,9 @@
 //     with jitter;
 //   - 400 and 413 are permanent: they fail the spec, not the run, and are
 //     reported together when the run finishes;
-//   - job state (pending → dispatched@worker → done | failed) is
-//     journaled to an append-only file, so an orchestrator restart
-//     resumes from the journal plus warm-store probes instead of
-//     recomputing.
+//   - an orchestrator restart resumes from its local result store
+//     instead of recomputing: specs already there are never dispatched,
+//     and a spec dispatched again is a warm hit on a worker that holds it.
 //
 // Because every result is a pure content-addressed function of its spec,
 // re-dispatching is always safe: a worker that already holds the result
@@ -84,13 +83,10 @@ type Config struct {
 	// look. Purely a placement preference — correctness never depends on
 	// it, and any live worker still serves any spec.
 	Replicas int
-	// Journal, if non-empty, is the append-only run journal. An existing
-	// journal for the same run resumes it; one for a different run is
-	// refused.
-	Journal string
 	// Store, if non-nil, is an orchestrator-local result store: fetched
 	// results are persisted to it, and specs already present are not
-	// dispatched at all (the warm-resume fast path).
+	// dispatched at all. Rerunning an interrupted run over the same store
+	// resumes it.
 	Store *store.Store
 	// Seed makes backoff jitter reproducible (tests).
 	Seed int64
@@ -323,8 +319,8 @@ func (e *RunError) Error() string {
 // Run dispatches every spec and returns the result map Assemble consumes.
 // Specs must be canonical (registry enumerations are). On permanent spec
 // failures the partial Results are returned together with a *RunError; on
-// context cancellation the error wraps ctx.Err() and the journal (if
-// configured) holds everything needed to resume.
+// context cancellation the error wraps ctx.Err(), and rerunning over the
+// same local store resumes the run.
 func (o *Orchestrator) Run(ctx context.Context, name string, specs []exp.SimSpec) (exp.Results, error) {
 	o.traceID = telemetry.NewTraceID()
 	o.log = o.log.With("run", name, "trace", o.traceID)
@@ -334,32 +330,14 @@ func (o *Orchestrator) Run(ctx context.Context, name string, specs []exp.SimSpec
 		keys[i] = s.Key()
 	}
 
-	var (
-		j     *runJournal
-		state = journalState{done: map[store.Key]bool{}, failed: map[store.Key]string{}}
-	)
-	if o.cfg.Journal != "" {
-		var err error
-		j, state, err = openJournal(o.cfg.Journal, name, exp.SchemaVersion, keys)
-		if err != nil {
-			return nil, err
-		}
-		defer j.Close()
-		if len(state.done)+len(state.failed) > 0 {
-			o.log.Info("resuming from journal",
-				"done", len(state.done), "failed", len(state.failed),
-				"pending", len(specs)-len(state.done)-len(state.failed))
-		}
-	}
-
 	results := make(exp.Results, len(specs))
 	var resMu sync.Mutex
 
 	// Warm-resume pass: a spec whose result is already in the local store
-	// is done before the first byte hits the network. Journal entries
-	// marking a spec done on some worker do not exempt it from dispatch —
-	// without the payload the table cannot be assembled — but its
-	// re-dispatch is a warm store hit on that worker, not a recompute.
+	// is done before the first byte hits the network. Any other spec is
+	// dispatched, even one an earlier run finished on some worker — the
+	// table needs the payload — and that re-dispatch is a warm store hit
+	// on the worker, not a recompute.
 	var pending []int
 	for i := range specs {
 		if o.cfg.Store != nil {
@@ -371,9 +349,6 @@ func (o *Orchestrator) Run(ctx context.Context, name string, specs []exp.SimSpec
 					o.localHits.Add(1)
 					o.span(telemetry.Span{Kind: telemetry.SpanResult, Spec: keys[i].String(),
 						Label: specLabel(specs[i]), Source: "local-store"})
-					if j != nil && !state.done[keys[i]] {
-						j.done(keys[i], "local-store")
-					}
 					continue
 				}
 			}
@@ -403,7 +378,7 @@ func (o *Orchestrator) Run(ctx context.Context, name string, specs []exp.SimSpec
 			go func() {
 				defer wg.Done()
 				for idx := range queue {
-					res, raw, err := o.runSpec(ctx, j, specs[idx], keys[idx])
+					res, raw, err := o.runSpec(ctx, specs[idx], keys[idx])
 					switch {
 					case err == nil:
 						resMu.Lock()
@@ -438,8 +413,8 @@ func (o *Orchestrator) Run(ctx context.Context, name string, specs []exp.SimSpec
 
 		if err := ctx.Err(); err != nil {
 			resume := ""
-			if j != nil {
-				resume = fmt.Sprintf(" (journal %s resumes this run)", o.cfg.Journal)
+			if o.cfg.Store != nil {
+				resume = fmt.Sprintf(" (rerunning over store %s resumes this run)", o.cfg.Store.Dir())
 			}
 			return results, fmt.Errorf("fleet: run %s interrupted: %w%s", name, err, resume)
 		}
@@ -469,15 +444,12 @@ func (o *Orchestrator) RunExperiment(ctx context.Context, r *exp.Runner, name st
 // runSpec drives one spec to a terminal state: retry transient failures
 // against the spec's ring owners (falling back through the fleet), give
 // up only on permanent errors (or MaxAttempts, or context cancellation).
-func (o *Orchestrator) runSpec(ctx context.Context, j *runJournal, spec exp.SimSpec, key store.Key) (sim.Result, []byte, error) {
+func (o *Orchestrator) runSpec(ctx context.Context, spec exp.SimSpec, key store.Key) (sim.Result, []byte, error) {
 	label := specLabel(spec)
 	for attempt := 0; ; attempt++ {
 		w, err := o.pickWorker(ctx, key)
 		if err != nil {
 			return sim.Result{}, nil, err
-		}
-		if j != nil {
-			j.dispatched(key, w.url)
 		}
 		start := time.Now()
 		res, raw, src, resumedFrom, retryAfter, cause, err := o.post(ctx, w, spec)
@@ -487,9 +459,6 @@ func (o *Orchestrator) runSpec(ctx context.Context, j *runJournal, spec exp.SimS
 				Attempt: attempt + 1, Worker: w.url, Status: "ok", Millis: ms})
 			o.span(telemetry.Span{Kind: telemetry.SpanResult, Spec: key.String(), Label: label,
 				Worker: w.url, Source: src, ResumedFrom: resumedFrom})
-			if j != nil {
-				j.done(key, w.url)
-			}
 			o.noteDispatchSecs(time.Since(start).Seconds())
 			o.dispatched.Add(1)
 			if src == "computed" {
@@ -504,9 +473,6 @@ func (o *Orchestrator) runSpec(ctx context.Context, j *runJournal, spec exp.SimS
 			o.log.Warn("spec failed permanently", "spec", label, "key", key.String(), "worker", w.url, "err", err)
 			o.span(telemetry.Span{Kind: telemetry.SpanResult, Spec: key.String(), Label: label,
 				Worker: w.url, Status: "failed", Error: err.Error()})
-			if j != nil {
-				j.failed(key, err.Error())
-			}
 			return sim.Result{}, nil, err
 		}
 		if ctx.Err() != nil {
@@ -517,9 +483,6 @@ func (o *Orchestrator) runSpec(ctx context.Context, j *runJournal, spec exp.SimS
 			err = fmt.Errorf("fleet: gave up after %d attempts: %w", o.cfg.MaxAttempts, err)
 			o.span(telemetry.Span{Kind: telemetry.SpanResult, Spec: key.String(), Label: label,
 				Worker: w.url, Status: "failed", Error: err.Error()})
-			if j != nil {
-				j.failed(key, err.Error())
-			}
 			return sim.Result{}, nil, err
 		}
 		delay := o.backoff(attempt)

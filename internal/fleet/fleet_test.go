@@ -3,7 +3,6 @@ package fleet
 import (
 	"context"
 	"errors"
-	"os"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -11,6 +10,7 @@ import (
 
 	"dsarp/internal/exp"
 	"dsarp/internal/store"
+	"dsarp/internal/telemetry"
 )
 
 func testConfig(urls ...string) Config {
@@ -168,80 +168,14 @@ func TestWorkerDeathRedispatchesToSurvivor(t *testing.T) {
 	}
 }
 
-// TestJournalRoundTrip pins the journal contract: fresh header, state
-// replay on reopen, torn-tail tolerance, and refusal of a foreign run.
-func TestJournalRoundTrip(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "run.journal")
-	specA, specB := tinySpec("a"), tinySpec("b")
-	keys := []store.Key{specA.Key(), specB.Key()}
-
-	j, state, err := openJournal(path, "run1", exp.SchemaVersion, keys)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(state.done)+len(state.failed) != 0 {
-		t.Fatalf("fresh journal has state: %+v", state)
-	}
-	j.dispatched(keys[0], "http://w1")
-	j.done(keys[0], "http://w1")
-	j.dispatched(keys[1], "http://w2")
-	j.failed(keys[1], "boom")
-	j.Close()
-
-	// Reopen: done and failed replayed; dispatched-without-done is
-	// pending (absent from both maps).
-	j2, state, err := openJournal(path, "run1", exp.SchemaVersion, keys)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !state.done[keys[0]] || state.failed[keys[0]] != "" {
-		t.Errorf("key A state wrong: %+v", state)
-	}
-	if state.failed[keys[1]] != "boom" || state.done[keys[1]] {
-		t.Errorf("key B state wrong: %+v", state)
-	}
-	// A later done supersedes the failure (a resumed run retried it).
-	j2.done(keys[1], "http://w1")
-	j2.Close()
-	_, state, err = openJournal(path, "run1", exp.SchemaVersion, keys)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !state.done[keys[1]] || len(state.failed) != 0 {
-		t.Errorf("retried spec still failed: %+v", state)
-	}
-
-	// Torn tail: a crash mid-append leaves half a line; replay ignores it.
-	f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	f.WriteString(`{"type":"done","key":"deadbe`)
-	f.Close()
-	_, state, err = openJournal(path, "run1", exp.SchemaVersion, keys)
-	if err != nil {
-		t.Fatalf("torn tail not tolerated: %v", err)
-	}
-	if !state.done[keys[0]] || !state.done[keys[1]] {
-		t.Errorf("state lost after torn tail: %+v", state)
-	}
-
-	// A journal for a different spec set is refused, not silently mixed.
-	if _, _, err := openJournal(path, "run1", exp.SchemaVersion, keys[:1]); err == nil {
-		t.Error("journal accepted a mismatched spec set")
-	}
-	if _, _, err := openJournal(path, "run2", exp.SchemaVersion, keys); err == nil {
-		t.Error("journal accepted a mismatched run name")
-	}
-}
-
-// TestJournalResume: an interrupted run resumes from the journal plus the
-// local store — the second orchestrator re-simulates nothing, and total
-// fleet work equals one cold run.
-func TestJournalResume(t *testing.T) {
+// TestResumeFromStore: an interrupted run resumes from the local store —
+// the second orchestrator re-simulates nothing, total fleet work equals
+// one cold run, and the trace-of-record both phases append to reports
+// each run separately.
+func TestResumeFromStore(t *testing.T) {
 	opts := tinyOpts()
 	w := startWorker(t, opts)
-	journalPath := filepath.Join(t.TempDir(), "resume.journal")
+	tracePath := filepath.Join(t.TempDir(), "resume.jsonl")
 	localDir := t.TempDir()
 
 	r := exp.NewRunner(opts)
@@ -259,9 +193,13 @@ func TestJournalResume(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	rec1, err := telemetry.NewRecorder(tracePath)
+	if err != nil {
+		t.Fatal(err)
+	}
 	cfg := testConfig(w.url())
-	cfg.Journal = journalPath
 	cfg.Store = st1
+	cfg.Trace = rec1
 	cfg.Concurrency = 2
 	o1 := mustOrch(t, cfg)
 	ctx, cancel := context.WithCancel(context.Background())
@@ -291,20 +229,30 @@ func TestJournalResume(t *testing.T) {
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("phase 1 error = %v, want context.Canceled", err)
 	}
+	if err := rec1.Close(); err != nil {
+		t.Fatal(err)
+	}
 
-	// Phase 2: a fresh orchestrator over the same journal and local store
-	// completes the run.
+	// Phase 2: a fresh orchestrator over the same local store completes
+	// the run, appending to the same trace file.
 	simsBefore := waitSimsQuiesce(t, w)
 	st2, err := store.Open(localDir, store.Options{Generation: exp.SchemaVersion})
 	if err != nil {
 		t.Fatal(err)
 	}
+	rec2, err := telemetry.NewRecorder(tracePath)
+	if err != nil {
+		t.Fatal(err)
+	}
 	cfg2 := testConfig(w.url())
-	cfg2.Journal = journalPath
 	cfg2.Store = st2
+	cfg2.Trace = rec2
 	o2 := mustOrch(t, cfg2)
 	res, err := o2.Run(context.Background(), "fig7", specs)
 	if err != nil {
+		t.Fatal(err)
+	}
+	if err := rec2.Close(); err != nil {
 		t.Fatal(err)
 	}
 	table, err := e.Assemble(r, res)
@@ -330,8 +278,41 @@ func TestJournalResume(t *testing.T) {
 	if total := w.simsRun(); total != unique {
 		t.Errorf("fleet simulated %d total across both phases, want exactly %d (no recompute)", total, unique)
 	}
-	if hits := o2.Stats().LocalHits; hits < 3 {
+
+	// The trace holds both runs; the second terminates every spec, none
+	// failed, and its local-store terminals are exactly the store hits.
+	spans, err := telemetry.ReadTrace(tracePath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	reports, err := telemetry.BuildReports(spans)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(reports) != 2 {
+		t.Fatalf("trace holds %d runs, want 2", len(reports))
+	}
+	phase2Rep := reports[1]
+	if len(phase2Rep.Chains) != len(specs) {
+		t.Errorf("phase 2 traced %d chains, want %d", len(phase2Rep.Chains), len(specs))
+	}
+	localStore := int64(0)
+	for _, c := range phase2Rep.Chains {
+		switch {
+		case c.Terminal == nil:
+			t.Errorf("phase 2 spec %s (%s) has no terminal span", c.Spec, c.Label)
+		case c.Terminal.Status == "failed":
+			t.Errorf("phase 2 spec %s (%s) failed: %s", c.Spec, c.Label, c.Terminal.Error)
+		case c.Terminal.Source == "local-store":
+			localStore++
+		}
+	}
+	hits := o2.Stats().LocalHits
+	if hits < 3 {
 		t.Errorf("phase 2 local store hits = %d, want >= 3 (phase 1 persisted at least that many)", hits)
+	}
+	if localStore != hits {
+		t.Errorf("phase 2 trace has %d local-store terminals, orchestrator counted %d local hits", localStore, hits)
 	}
 }
 

@@ -56,10 +56,14 @@ func TestTraceOfRecordUnderChaos(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	report, err := telemetry.BuildReport(spans)
+	reports, err := telemetry.BuildReports(spans)
 	if err != nil {
-		t.Fatalf("BuildReport: %v", err)
+		t.Fatalf("BuildReports: %v", err)
 	}
+	if len(reports) != 1 {
+		t.Fatalf("trace holds %d runs, want 1", len(reports))
+	}
+	report := reports[0]
 	fig7, ok := exp.LookupExperiment("fig7")
 	if !ok {
 		t.Fatal("fig7 not in experiment registry")

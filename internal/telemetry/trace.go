@@ -13,16 +13,17 @@ import (
 	"dsarp/internal/journal"
 )
 
-// The trace-of-record is a JSONL flight recorder for one orchestrated
-// run: the fleet mints a trace ID, stamps every dispatch with it (the
+// The trace-of-record is a JSONL flight recorder for orchestrated runs:
+// per run, the fleet mints a trace ID, stamps every dispatch with it (the
 // X-Dsarp-Trace header carries it to the workers, whose own recorders —
 // dsarpd -trace — attribute their half of the work to the same ID), and
-// appends one Span per state transition. Replaying the file reconstructs
-// every spec's full attempt chain: which worker, which attempt, what
-// failed and why, and how the spec finally terminated (computed on a
-// worker, served warm from a store, fetched from a peer). The file
-// mechanics are internal/journal's: fsync per line, a torn final line
-// tolerated on replay, mid-file corruption refused.
+// appends a run header plus one Span per state transition. Replaying the
+// file reconstructs, for every run in it, every spec's full attempt
+// chain: which worker, which attempt, what failed and why, and how the
+// spec finally terminated (computed on a worker, served warm from a
+// store, fetched from a peer). The file mechanics are internal/journal's:
+// fsync per line, a torn final line tolerated on replay, mid-file
+// corruption refused.
 
 // TraceHeader is the HTTP header propagating a run's trace ID from the
 // fleet orchestrator to the workers it dispatches to.
@@ -37,7 +38,7 @@ func NewTraceID() string {
 
 // Span kinds, in the order a spec's chain emits them.
 const (
-	// SpanRun is the file header: one per run, first line.
+	// SpanRun is a run's header, recorded before any of its other spans.
 	SpanRun = "run"
 	// SpanAttempt is one dispatch attempt of one spec to one worker,
 	// terminal or not: Status "ok" or a retry cause, with wall time.
@@ -89,8 +90,8 @@ type Span struct {
 }
 
 // Recorder appends spans to a JSONL flight recorder. Safe for concurrent
-// use; a write failure disables the recorder (first error kept) rather
-// than failing the run — the trace is observability, not state.
+// use; a write failure disables the recorder rather than failing the run
+// — the trace is observability, not state — and Close reports it.
 type Recorder struct {
 	mu  sync.Mutex
 	f   *journal.File
@@ -108,7 +109,7 @@ func NewRecorder(path string) (*Recorder, error) {
 }
 
 // Record stamps and appends one span. Best-effort: the first write
-// failure sticks (see Err) and later records are dropped.
+// failure sticks (Close returns it) and later records are dropped.
 func (r *Recorder) Record(s Span) {
 	if r == nil {
 		return
@@ -126,24 +127,19 @@ func (r *Recorder) Record(s Span) {
 	}
 }
 
-// Err returns the first write failure, if any.
-func (r *Recorder) Err() error {
-	if r == nil {
-		return nil
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.err
-}
-
-// Close closes the underlying file.
+// Close closes the underlying file and returns the first write failure,
+// or else the close error.
 func (r *Recorder) Close() error {
 	if r == nil {
 		return nil
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return r.f.Close()
+	err := r.f.Close()
+	if r.err != nil {
+		return r.err
+	}
+	return err
 }
 
 // ReadTrace replays the trace file at path into spans, in record order.
@@ -183,24 +179,31 @@ type TraceReport struct {
 	Chains []*AttemptChain // order of first appearance
 }
 
-// BuildReport folds a span stream into per-spec attempt chains. Spans
-// from other trace IDs than the run header's are ignored (a recorder
-// appended to across runs holds several traces; the header selects one
-// run — the first, matching fleet's one-run-per-file usage).
-func BuildReport(spans []Span) (*TraceReport, error) {
+// BuildReports folds a span stream into per-spec attempt chains, one
+// report per run header in file order: a recorder appended to by several
+// runs (a rerun of an interrupted command) holds several. Each report is
+// built from the spans carrying its header's trace ID; spans of any other
+// trace are ignored.
+func BuildReports(spans []Span) ([]*TraceReport, error) {
 	if len(spans) == 0 {
 		return nil, fmt.Errorf("telemetry: empty trace")
 	}
 	if spans[0].Kind != SpanRun {
 		return nil, fmt.Errorf("telemetry: trace does not start with a run header (kind %q)", spans[0].Kind)
 	}
-	rep := &TraceReport{Trace: spans[0].Trace, Name: spans[0].Name, Total: spans[0].Total}
-	byKey := map[string]*AttemptChain{}
-	chainFor := func(s Span) *AttemptChain {
-		c, ok := byKey[s.Spec]
+	type chainKey struct {
+		rep  *TraceReport
+		spec string
+	}
+	var reps []*TraceReport
+	byTrace := map[string]*TraceReport{}
+	byKey := map[chainKey]*AttemptChain{}
+	chainFor := func(rep *TraceReport, s Span) *AttemptChain {
+		k := chainKey{rep, s.Spec}
+		c, ok := byKey[k]
 		if !ok {
 			c = &AttemptChain{Spec: s.Spec}
-			byKey[s.Spec] = c
+			byKey[k] = c
 			rep.Chains = append(rep.Chains, c)
 		}
 		if c.Label == "" {
@@ -208,15 +211,23 @@ func BuildReport(spans []Span) (*TraceReport, error) {
 		}
 		return c
 	}
-	for _, s := range spans[1:] {
-		if s.Trace != rep.Trace || s.Spec == "" {
+	for _, s := range spans {
+		if s.Kind == SpanRun {
+			rep := &TraceReport{Trace: s.Trace, Name: s.Name, Total: s.Total}
+			reps = append(reps, rep)
+			byTrace[s.Trace] = rep
+			continue
+		}
+		rep := byTrace[s.Trace]
+		if rep == nil || s.Spec == "" {
 			continue
 		}
 		switch s.Kind {
 		case SpanAttempt:
-			chainFor(s).Attempts = append(chainFor(s).Attempts, s)
+			c := chainFor(rep, s)
+			c.Attempts = append(c.Attempts, s)
 		case SpanResult:
-			c := chainFor(s)
+			c := chainFor(rep, s)
 			if c.Terminal != nil {
 				return nil, fmt.Errorf("telemetry: spec %s has two terminal records", s.Spec)
 			}
@@ -224,7 +235,7 @@ func BuildReport(spans []Span) (*TraceReport, error) {
 			c.Terminal = &term
 		}
 	}
-	return rep, nil
+	return reps, nil
 }
 
 // RetryCauses tallies the non-ok attempt statuses across every chain.

@@ -10,8 +10,10 @@ import (
 
 func fixedNow() time.Time { return time.Date(2026, 1, 2, 3, 4, 5, 0, time.UTC) }
 
-// TestTraceRoundTrip records a two-spec run (one clean, one retried)
-// and replays it into a report, checking chains, causes, and terminals.
+// TestTraceRoundTrip records a two-spec run (one clean, one retried),
+// then appends a second run to the same file the way a rerun of the same
+// command does, and replays it into one report per run, checking chains,
+// causes, and terminals.
 func TestTraceRoundTrip(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "trace.jsonl")
 	rec, err := NewRecorder(path)
@@ -30,10 +32,21 @@ func TestTraceRoundTrip(t *testing.T) {
 	rec.Record(Span{Trace: tr, Kind: SpanResult, Spec: "k2", Label: "fig7/base", Worker: "http://w2", Source: "store"})
 	// A span from an unrelated trace must be ignored by the report.
 	rec.Record(Span{Trace: "ffff0000ffff0000", Kind: SpanAttempt, Spec: "zz", Attempt: 1, Status: "ok"})
-	if err := rec.Err(); err != nil {
-		t.Fatalf("recorder error: %v", err)
-	}
 	if err := rec.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	// The rerun reopens the file and appends its own run: the same specs,
+	// now served from the orchestrator's local store.
+	rec2, err := NewRecorder(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr2 := "5678efab5678efab"
+	rec2.Record(Span{Trace: tr2, Kind: SpanRun, Name: "fig7", Schema: "v4", Total: 2})
+	rec2.Record(Span{Trace: tr2, Kind: SpanResult, Spec: "k1", Label: "fig7/darp", Source: "local-store"})
+	rec2.Record(Span{Trace: tr2, Kind: SpanResult, Spec: "k2", Label: "fig7/base", Source: "local-store"})
+	if err := rec2.Close(); err != nil {
 		t.Fatal(err)
 	}
 
@@ -41,17 +54,21 @@ func TestTraceRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(spans) != 8 {
-		t.Fatalf("replayed %d spans, want 8", len(spans))
+	if len(spans) != 11 {
+		t.Fatalf("replayed %d spans, want 11", len(spans))
 	}
 	if spans[1].Time == "" {
 		t.Error("recorder did not stamp Time")
 	}
 
-	rep, err := BuildReport(spans)
+	reports, err := BuildReports(spans)
 	if err != nil {
 		t.Fatal(err)
 	}
+	if len(reports) != 2 {
+		t.Fatalf("reports = %d, want one per run (2)", len(reports))
+	}
+	rep := reports[0]
 	if rep.Trace != tr || rep.Name != "fig7" || rep.Total != 2 {
 		t.Errorf("header = %+v", rep)
 	}
@@ -81,6 +98,44 @@ func TestTraceRoundTrip(t *testing.T) {
 		if !strings.Contains(out, want) {
 			t.Errorf("report missing %q:\n%s", want, out)
 		}
+	}
+
+	rerun := reports[1]
+	if rerun.Trace != tr2 || len(rerun.Chains) != 2 {
+		t.Fatalf("second run = %+v", rerun)
+	}
+	for _, c := range rerun.Chains {
+		if c.Terminal == nil || c.Terminal.Source != "local-store" || len(c.Attempts) != 0 {
+			t.Errorf("second run chain %s = %+v, want one local-store terminal", c.Spec, c)
+		}
+	}
+	out = rerun.String()
+	for _, want := range []string{
+		"trace 5678efab5678efab: run fig7 (2 specs)",
+		"terminal sources: local-store=2",
+	} {
+		if !strings.Contains(out, want) {
+			t.Errorf("second report missing %q:\n%s", want, out)
+		}
+	}
+	if strings.Contains(out, "retries by cause") {
+		t.Errorf("second report inherited the first run's retries:\n%s", out)
+	}
+}
+
+// TestRecorderCloseReportsWriteFailure: spans dropped on a failed write
+// surface as Close's error.
+func TestRecorderCloseReportsWriteFailure(t *testing.T) {
+	if _, err := os.Stat("/dev/full"); err != nil {
+		t.Skip("no /dev/full on this system")
+	}
+	rec, err := NewRecorder("/dev/full")
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec.Record(Span{Trace: "t", Kind: SpanRun, Name: "full"})
+	if err := rec.Close(); err == nil {
+		t.Error("Close returned nil after a failed write")
 	}
 }
 
@@ -131,10 +186,10 @@ func TestTraceMissingFile(t *testing.T) {
 
 // TestBuildReportErrors covers the malformed-trace cases.
 func TestBuildReportErrors(t *testing.T) {
-	if _, err := BuildReport(nil); err == nil {
+	if _, err := BuildReports(nil); err == nil {
 		t.Error("empty trace: no error")
 	}
-	if _, err := BuildReport([]Span{{Kind: SpanAttempt}}); err == nil {
+	if _, err := BuildReports([]Span{{Kind: SpanAttempt}}); err == nil {
 		t.Error("missing run header: no error")
 	}
 	double := []Span{
@@ -142,7 +197,7 @@ func TestBuildReportErrors(t *testing.T) {
 		{Trace: "t", Kind: SpanResult, Spec: "k", Source: "computed"},
 		{Trace: "t", Kind: SpanResult, Spec: "k", Source: "store"},
 	}
-	if _, err := BuildReport(double); err == nil {
+	if _, err := BuildReports(double); err == nil {
 		t.Error("double terminal: no error")
 	}
 }
@@ -152,4 +207,37 @@ func TestNewTraceID(t *testing.T) {
 	if len(a) != 16 || a == b {
 		t.Errorf("trace IDs: %q, %q", a, b)
 	}
+}
+
+// FuzzReadTrace feeds arbitrary bytes through the -trace-report path:
+// replay, report building and rendering may reject a file but must never
+// panic on one.
+func FuzzReadTrace(f *testing.F) {
+	twoRuns := `{"trace":"aa","kind":"run","name":"fig7","total":1}
+{"trace":"aa","kind":"attempt","spec":"k1","attempt":1,"worker":"http://w1","status":"conn","ms":3}
+{"trace":"aa","kind":"attempt","spec":"k1","attempt":2,"worker":"http://w2","status":"ok","ms":9}
+{"trace":"aa","kind":"result","spec":"k1","worker":"http://w2","source":"computed"}
+{"trace":"bb","kind":"run","name":"fig7","total":1}
+{"trace":"bb","kind":"result","spec":"k1","source":"local-store"}
+`
+	f.Add([]byte(twoRuns))
+	f.Add([]byte(twoRuns + `{"trace":"bb","kind":"res`))
+	f.Add([]byte("\x00\xffnot json\n{]\n"))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		path := filepath.Join(t.TempDir(), "trace.jsonl")
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		spans, err := ReadTrace(path)
+		if err != nil {
+			return
+		}
+		reports, err := BuildReports(spans)
+		if err != nil {
+			return
+		}
+		for _, r := range reports {
+			_ = r.String()
+		}
+	})
 }
