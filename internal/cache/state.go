@@ -14,6 +14,17 @@ import (
 // re-linked by LoadState; each MSHR entry's fill callback is rebuilt
 // fresh. The free list and the nextHitAt memo are derived state and
 // omitted.
+//
+// The tag store is written sparsely: only the sets that hold a valid
+// line, each as set index, MRU way and line count, then tag, dirty bit and
+// LRU stamp per valid line. The format relies on a set's valid lines being
+// a prefix of its ways: fill takes the first invalid way and nothing
+// invalidates a line. Every other way is the zero line a fresh slice
+// already holds (an invalid way's fields are never read), so the snapshot
+// grows with the touched footprint rather than the slice size, and a full
+// set costs what the dense layout did. Pending fills are written as one
+// entry count, then the entries in set order and, within a set, in chain
+// order; each entry's set follows from its line address.
 func (s *Slice) AppendState(w *snap.Writer) {
 	w.I64(s.tick)
 	w.I64(s.stats.Accesses)
@@ -21,11 +32,23 @@ func (s *Slice) AppendState(w *snap.Writer) {
 	w.I64(s.stats.Misses)
 	w.I64(s.stats.MSHRMerges)
 	w.I64(s.stats.Writebacks)
+	occupied := 0
+	for _, set := range s.sets {
+		if set[0].valid {
+			occupied++
+		}
+	}
+	w.Int(occupied)
 	for si, set := range s.sets {
-		w.U64(uint64(s.mru[si]))
-		for _, ln := range set {
+		n := validPrefix(set)
+		if n == 0 {
+			continue
+		}
+		w.Int(si)
+		w.Int(int(s.mru[si]))
+		w.Int(n)
+		for _, ln := range set[:n] {
 			w.U64(ln.tag)
-			w.Bool(ln.valid)
 			w.Bool(ln.dirty)
 			w.I64(ln.used)
 		}
@@ -41,12 +64,14 @@ func (s *Slice) AppendState(w *snap.Writer) {
 		w.I64(h.at)
 		w.U64(h.tag)
 	}
+	pending := 0
 	for _, head := range s.mshr {
-		n := 0
 		for e := head; e != nil; e = e.next {
-			n++
+			pending++
 		}
-		w.Int(n)
+	}
+	w.Int(pending)
+	for _, head := range s.mshr {
 		for e := head; e != nil; e = e.next {
 			w.U64(e.lineAddr)
 			w.Bool(e.dirty)
@@ -58,10 +83,22 @@ func (s *Slice) AppendState(w *snap.Writer) {
 	}
 }
 
+// validPrefix counts a set's valid lines, which occupy its first ways.
+func validPrefix(set []line) int {
+	for i := range set {
+		if !set[i].valid {
+			return i
+		}
+	}
+	return len(set)
+}
+
 // LoadState restores the state written by AppendState onto a freshly
-// built slice of the same configuration. resolve maps a waiter tag back
-// to the owning core's completion callback (the core must be restored
-// first).
+// built slice of the same configuration (its ways must still be zero
+// lines). resolve maps a waiter tag back to the owning core's completion
+// callback (the core must be restored first). Every decoded index and
+// count is range-checked and every loop stops at the first read error, so
+// corrupt input yields an error rather than a slice that panics later.
 func (s *Slice) LoadState(r *snap.Reader, resolve func(tag uint64) (func(now int64), error)) error {
 	s.tick = r.I64()
 	s.stats.Accesses = r.I64()
@@ -69,27 +106,48 @@ func (s *Slice) LoadState(r *snap.Reader, resolve func(tag uint64) (func(now int
 	s.stats.Misses = r.I64()
 	s.stats.MSHRMerges = r.I64()
 	s.stats.Writebacks = r.I64()
-	for si, set := range s.sets {
-		s.mru[si] = uint16(r.U64())
-		for i := range set {
-			set[i].tag = r.U64()
-			set[i].valid = r.Bool()
-			set[i].dirty = r.Bool()
-			set[i].used = r.I64()
+	nSets, ways := len(s.sets), s.cfg.Ways
+	// Set indices must be strictly increasing, which also rules out
+	// duplicates.
+	occupied, err := readInt(r, 0, nSets+1, "occupied set count")
+	if err != nil {
+		return err
+	}
+	si := -1
+	for ; occupied > 0; occupied-- {
+		if si, err = readInt(r, si+1, nSets, "set index"); err != nil {
+			return err
+		}
+		mru, err := readInt(r, 0, ways, "MRU way")
+		if err != nil {
+			return err
+		}
+		s.mru[si] = uint16(mru)
+		n, err := readInt(r, 1, ways+1, "valid line count")
+		if err != nil {
+			return err
+		}
+		set := s.sets[si]
+		for way := 0; way < n; way++ {
+			set[way] = line{tag: r.U64(), valid: true, dirty: r.Bool(), used: r.I64()}
 		}
 	}
 	s.pendingWB = s.pendingWB[:0]
 	s.wbHead = 0
-	for n := r.Int(); n > 0; n-- {
+	nWB, err := readInt(r, 0, math.MaxInt, "pending writeback count")
+	if err != nil {
+		return err
+	}
+	for ; nWB > 0 && r.Err() == nil; nWB-- {
 		s.pendingWB = append(s.pendingWB, r.U64())
 	}
 	s.hits = s.hits[:0]
 	s.hitHead = 0
-	nHits := r.Int()
-	if err := r.Err(); err != nil {
+	nHits, err := readInt(r, 0, math.MaxInt, "hit delivery count")
+	if err != nil {
 		return err
 	}
-	for i := 0; i < nHits; i++ {
+	for ; nHits > 0; nHits-- {
 		h := hitDelivery{at: r.I64(), tag: r.U64()}
 		if err := r.Err(); err != nil {
 			return err
@@ -106,41 +164,58 @@ func (s *Slice) LoadState(r *snap.Reader, resolve func(tag uint64) (func(now int
 		s.nextHitAt = s.hits[0].at
 	}
 	s.free = nil
-	for si := range s.mshr {
-		s.mshr[si] = nil
-		n := r.Int()
-		if err := r.Err(); err != nil {
+	clear(s.mshr)
+	pending, err := readInt(r, 0, math.MaxInt, "pending fill count")
+	if err != nil {
+		return err
+	}
+	for ; pending > 0; pending-- {
+		e := &mshrEntry{lineAddr: r.U64(), dirty: r.Bool()}
+		nw, err := readInt(r, 0, math.MaxInt, "waiter count")
+		if err != nil {
 			return err
 		}
+		si := e.lineAddr & s.setMask
 		var tail *mshrEntry
-		for i := 0; i < n; i++ {
-			e := &mshrEntry{lineAddr: r.U64(), dirty: r.Bool()}
-			e.onFill = func(at int64) { s.fill(at, e) }
-			nw := r.Int()
+		for o := s.mshr[si]; o != nil; o = o.next {
+			if o.lineAddr == e.lineAddr {
+				return fmt.Errorf("cache: two pending fills of line %#x", e.lineAddr)
+			}
+			tail = o
+		}
+		e.onFill = func(at int64) { s.fill(at, e) }
+		for ; nw > 0; nw-- {
+			wt := waiter{tag: r.U64()}
 			if err := r.Err(); err != nil {
 				return err
 			}
-			for j := 0; j < nw; j++ {
-				wt := waiter{tag: r.U64()}
-				if err := r.Err(); err != nil {
-					return err
-				}
-				fn, err := resolve(wt.tag)
-				if err != nil {
-					return fmt.Errorf("cache: mshr waiter: %w", err)
-				}
-				wt.fn = fn
-				e.waiters = append(e.waiters, wt)
+			fn, err := resolve(wt.tag)
+			if err != nil {
+				return fmt.Errorf("cache: mshr waiter: %w", err)
 			}
-			if tail == nil {
-				s.mshr[si] = e
-			} else {
-				tail.next = e
-			}
-			tail = e
+			wt.fn = fn
+			e.waiters = append(e.waiters, wt)
+		}
+		if tail == nil {
+			s.mshr[si] = e
+		} else {
+			tail.next = e
 		}
 	}
 	return r.Err()
+}
+
+// readInt reads one Int and requires it to lie in [lo, hi); read errors
+// take precedence over the range check.
+func readInt(r *snap.Reader, lo, hi int, what string) (int, error) {
+	v := r.Int()
+	if err := r.Err(); err != nil {
+		return 0, err
+	}
+	if v < lo || v >= hi {
+		return 0, fmt.Errorf("cache: %s %d out of range [%d, %d)", what, v, lo, hi)
+	}
+	return v, nil
 }
 
 // FillCallback returns the fill callback of the outstanding miss on the

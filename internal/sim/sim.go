@@ -215,6 +215,10 @@ type System struct {
 	loopSat   int  // consecutive-stepped saturation counter
 	loopBlind int  // plain Steps remaining in the current blind window
 	keepLoop  bool // one-shot: next RunTo keeps loopSat/loopBlind (set by restore)
+	// landing is true while a skip's landing step is pending: set around
+	// the checkpoint taken on the cycle a skip landed on, so a run resumed
+	// from that snapshot takes the same uncounted landing step first.
+	landing bool
 
 	// Checkpoint schedule, armed by RunWithCheckpoints/ResumeRun: a snapshot
 	// is captured whenever the clock reaches ckptNext.
@@ -491,13 +495,15 @@ func (s *System) stopped() bool {
 // saturation state lives on the System (loopSat/loopBlind): it is zeroed
 // on entry — matching the old per-call locals — unless a snapshot restore
 // armed keepLoop, in which case the restored values carry the interrupted
-// run's engine position forward.
+// run's engine position forward, including a pending landing step.
 func (s *System) RunTo(end int64) {
 	if s.keepLoop {
 		s.keepLoop = false
 	} else {
 		s.loopSat, s.loopBlind = 0, 0
 	}
+	landing := s.landing
+	s.landing = false
 	poll := 0
 	checkStop := func() bool {
 		if poll++; poll < stopPollEvery {
@@ -515,6 +521,11 @@ func (s *System) RunTo(end int64) {
 			}
 		}
 		return
+	}
+	if landing && s.now < end {
+		// Resumed from a snapshot taken on a skip's landing cycle: finish
+		// the landing step the interrupted run was about to take.
+		s.stepSelective()
 	}
 	for s.now < end {
 		if checkStop() {
@@ -542,7 +553,9 @@ func (s *System) RunTo(end int64) {
 			if s.now < end {
 				// The skip landed on the window's bounding event; step it
 				// without paying for a scan that would just confirm it.
+				s.landing = true
 				s.maybeCheckpoint()
+				s.landing = false
 				s.stepSelective()
 			}
 			continue

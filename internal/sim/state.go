@@ -41,6 +41,7 @@ func (s *System) Snapshot() []byte {
 	w.I64(s.nextID)
 	w.Int(s.loopSat)
 	w.Int(s.loopBlind)
+	w.Bool(s.landing)
 	w.Int(len(s.devs))
 	w.Int(len(s.cores))
 	w.Bool(s.inMeasure)
@@ -105,6 +106,7 @@ func RestoreSystem(cfg Config, data []byte) (*System, error) {
 	s.nextID = r.I64()
 	s.loopSat = r.Int()
 	s.loopBlind = r.Int()
+	s.landing = r.Bool()
 	nDevs := r.Int()
 	nCores := r.Int()
 	s.inMeasure = r.Bool()

@@ -115,6 +115,42 @@ func TestResumeBitExactSaturated(t *testing.T) {
 	}
 }
 
+// TestResumeMidWindowSteppedCycles resumes the service benchmark's specs
+// (the five category mixes under the paper's six mechanisms) from every
+// mid-window checkpoint and requires the plain run's Result, SteppedCycles
+// included. The intervals put checkpoints on cycles where a skip lands:
+// such a snapshot is taken just before the skip's uncounted landing step,
+// and the resumed run must take that step too rather than probe and count
+// a fresh one, or its saturation fallback fires a probe early.
+func TestResumeMidWindowSteppedCycles(t *testing.T) {
+	if testing.Short() {
+		t.Skip("180-resume matrix")
+	}
+	mechs := []core.Kind{core.KindREFab, core.KindREFpb, core.KindDARP,
+		core.KindSARPpb, core.KindDSARP, core.KindNoRef}
+	for _, wl := range workload.Mixes(1, 8, 7) {
+		for _, k := range mechs {
+			name := wl.Name + "/" + k.String()
+			cfg := Config{
+				Workload:  wl,
+				Mechanism: k,
+				Density:   timing.Gb32,
+				Seed:      1,
+				Warmup:    4_000,
+				Measure:   16_000,
+			}
+			t.Run(name, func(t *testing.T) {
+				t.Parallel()
+				for _, every := range []int64{5_000, 6_000, 8_000} {
+					want, cycles, snaps := runCheckpointed(t, name, cfg, every)
+					// snaps[0] is the warmup boundary; the rest are mid-window.
+					resumeAll(t, fmt.Sprintf("%s every %d", name, every), cfg, want, cycles[1:], snaps[1:])
+				}
+			})
+		}
+	}
+}
+
 // TestResumeCycleEngine covers the plain stepper: snapshot and resume
 // under EngineCycle must be byte-exact too.
 func TestResumeCycleEngine(t *testing.T) {
@@ -383,6 +419,33 @@ func TestCanSnapshot(t *testing.T) {
 	}
 	if fired {
 		t.Error("checked run must not emit snapshots")
+	}
+}
+
+// TestSnapshotBytesTrackValidLines bounds snapshot size on 8-core systems
+// (4 MB of modelled LLC, 65,536 lines): fresh, and at a 4k-cycle warmup
+// boundary where only a few percent of the lines are valid. Slices write
+// only their valid lines, so the size follows the touched footprint; a
+// dense tag-store layout (1.25 MB for either) fails here as a byte count.
+func TestSnapshotBytesTrackValidLines(t *testing.T) {
+	const freshCeiling, warmCeiling = 16 << 10, 128 << 10
+	for _, wl := range workload.Mixes(1, 8, 7) {
+		s, err := NewSystem(Config{
+			Workload:  wl,
+			Mechanism: core.KindDSARP,
+			Density:   timing.Gb32,
+			Seed:      1,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n := len(s.Snapshot()); n > freshCeiling {
+			t.Errorf("%s: fresh snapshot is %d bytes, ceiling %d", wl.Name, n, freshCeiling)
+		}
+		s.RunTo(4_000)
+		if n := len(s.Snapshot()); n > warmCeiling {
+			t.Errorf("%s: snapshot at cycle 4000 is %d bytes, ceiling %d", wl.Name, n, warmCeiling)
+		}
 	}
 }
 

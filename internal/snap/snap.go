@@ -21,7 +21,7 @@ import (
 // snapshot layout change must not invalidate served results. Restoring a
 // snapshot with a mismatched version is refused — the run recomputes from
 // cycle 0 instead.
-const Version = "dsarp-snap-v1"
+const Version = "dsarp-snap-v2"
 
 // magic leads every snapshot so a snapshot can never be confused with a
 // store result envelope or any other artifact.
