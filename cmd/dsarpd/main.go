@@ -29,10 +29,11 @@
 // startup. Completed results are not retained in RAM — the store is the
 // cache — so memory stays flat however many unique specs are served.
 //
-// Jobs are crash-durable when a store is configured: every job is
-// journaled under <store>/jobs, and a restarted dsarpd on the same store
-// directory adopts incomplete jobs — same job IDs, full SSE replay,
-// unfinished specs re-enqueued. If the store's disk fails mid-flight the
+// Jobs are crash-durable when a store is configured: every job's header
+// (its ID and spec list) is written under <store>/jobs, and a restarted
+// dsarpd on the same store directory adopts every job — same job IDs,
+// specs whose results are in the store replayed as cache hits, the rest
+// re-enqueued. If the store's disk fails mid-flight the
 // daemon keeps completing work from memory and reports itself degraded
 // on /healthz and /v1/stats instead of dying.
 //
@@ -88,7 +89,6 @@ import (
 	"net/http/pprof"
 	"os"
 	"os/signal"
-	"path/filepath"
 	"strings"
 	"syscall"
 	"time"
@@ -181,7 +181,6 @@ func mainImpl() int {
 		logger.Info("chaos enabled", "spec", *chaosSpec)
 	}
 
-	journalDir := ""
 	if *storeDir != "" {
 		st, err := store.Open(*storeDir, store.Options{
 			MaxBytes:   *storeMaxMB << 20,
@@ -196,9 +195,6 @@ func mainImpl() int {
 		// The disk is the cache: don't also retain every result in RAM
 		// for the life of the daemon.
 		opts.EphemeralResults = true
-		// Job journals live beside the entries they reference: adopting a
-		// store directory means adopting its unfinished jobs too.
-		journalDir = filepath.Join(*storeDir, "jobs")
 		if s := st.Stats(); s.Expired > 0 {
 			logger.Info("store: swept old-schema entries", "entries", s.Expired, "bytes", s.ExpiredBytes)
 		}
@@ -254,15 +250,14 @@ func mainImpl() int {
 
 	reg := telemetry.NewRegistry()
 	srv := serve.New(serve.Config{
-		Runner:     exp.NewRunner(opts),
-		Workers:    *parallel,
-		MaxQueue:   *maxQueue,
-		Chaos:      chaos,
-		JournalDir: journalDir,
-		Peer:       peerCfg,
-		Log:        logger,
-		Metrics:    reg,
-		Trace:      trace,
+		Runner:   exp.NewRunner(opts),
+		Workers:  *parallel,
+		MaxQueue: *maxQueue,
+		Chaos:    chaos,
+		Peer:     peerCfg,
+		Log:      logger,
+		Metrics:  reg,
+		Trace:    trace,
 	})
 	httpSrv := &http.Server{Addr: *addr, Handler: srv.Handler()}
 

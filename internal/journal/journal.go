@@ -1,6 +1,6 @@
 // Package journal provides the append-only JSONL files behind every
-// crash-durability story in this repo: the serving layer's per-job
-// journals and the trace-of-record (telemetry.Recorder). A journal is one
+// crash-durability story in this repo: the serving layer's job headers
+// and the trace-of-record (telemetry.Recorder). A journal is one
 // file, one JSON document per line, with exactly line-level durability:
 //
 //   - every Append marshals one value, writes one line, and fsyncs, so a

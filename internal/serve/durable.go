@@ -9,28 +9,29 @@ import (
 
 	"dsarp/internal/exp"
 	"dsarp/internal/journal"
-	"dsarp/internal/store"
 )
 
-// Job durability: with Config.JournalDir set, every job is backed by an
-// append-only journal (internal/journal) named <id>.jsonl — a header
-// pinning the job's identity and full spec list, then one line per
-// completed task. The result payloads themselves are NOT journaled: they
-// live in the content-addressed store, and the journal records only each
-// task's key and outcome. On startup the server adopts every journal in
-// the directory: the job comes back under the same ID, its event history
-// is reconstructed from journal+store (so GET /v1/jobs/{id}, /results,
-// /table, and SSE replay all work across a hard crash), and specs that
-// never completed — or whose store entries were GC'd out from under the
-// journal — are re-enqueued. Re-running a spec is idempotent (results are
-// content-addressed and the runner's singleflight dedups against
-// concurrent identical submissions), so the assembled table after any
-// number of crashes is byte-identical to an uninterrupted run.
+// Job durability: a store-backed server writes every job's header — its
+// identity and full spec list — to <store>/jobs/<id>.jsonl before the job
+// ID is returned, and that one line is the job's whole durable state.
+// Results need no second record: the runner writes every successful
+// result to the content-addressed store before the job publishes it. On
+// startup the server adopts every header in the directory: the job comes
+// back under the same ID, every spec whose key the store holds is
+// restored as a store hit (so GET /v1/jobs/{id}, /results, /table, and
+// SSE replay all work across a hard crash), and the rest — never
+// finished, failed, or GC'd since — are re-enqueued. Re-running a spec is
+// idempotent (results are content-addressed and the runner's singleflight
+// dedups against concurrent identical submissions), so the assembled
+// table after any number of crashes is byte-identical to an uninterrupted
+// run.
 
-// jobHeader is the first journal line: everything needed to rebuild the
-// job object and re-enqueue its work. Schema pins the store generation —
-// a journal from an older schema is dropped at adoption, because the
+// jobHeader is the job file's line: everything needed to rebuild the job
+// object and re-enqueue its work. Schema pins the store generation — a
+// header from an older schema is dropped at adoption, because the
 // generation sweep already reclaimed every store entry its keys address.
+// Lines after the header (older servers appended one per completed task)
+// are ignored.
 type jobHeader struct {
 	Type       string        `json:"type"` // "job"
 	ID         string        `json:"id"`
@@ -40,61 +41,61 @@ type jobHeader struct {
 	Specs      []exp.SimSpec `json:"specs"`
 }
 
-// taskLine records one completed task: its slot, its store key, and how
-// it was served. Written (fsynced) before the completion is published to
-// subscribers, so anything a client ever saw is recoverable.
-type taskLine struct {
-	Type   string `json:"type"` // "task"
-	Index  int    `json:"index"`
-	Key    string `json:"key"`
-	Source string `json:"source,omitempty"`
-	Cached bool   `json:"cached,omitempty"`
-	Error  string `json:"error,omitempty"`
+const headerType = "job"
+
+// headerPath is where job id's header lives.
+func (r *jobRegistry) headerPath(id string) string {
+	return filepath.Join(r.dir, id+".jsonl")
 }
 
-const headerType, taskType = "job", "task"
-
-// createJob registers a job and, when durability is on, makes its journal
-// header durable before the job ID is ever returned to a client: any ID a
-// client observes is re-resolvable after a crash.
+// createJob registers a job and, when durability is on, makes its header
+// durable before the job ID is ever returned to a client: any ID a client
+// observes is re-resolvable after a crash.
 func (s *Server) createJob(name string, specs []exp.SimSpec, experiment string, assemble func([]taskOutcome) (string, error)) *job {
 	j := s.jobs.createExperiment(name, specs, experiment, assemble)
-	if s.journalDir == "" {
+	if s.jobs.dir == "" {
 		return j
 	}
-	path := filepath.Join(s.journalDir, j.id+".jsonl")
-	jl, err := journal.OpenAppend(path)
-	if err == nil {
-		err = jl.Append(jobHeader{
-			Type: headerType, ID: j.id, Name: name, Experiment: experiment,
-			Schema: exp.SchemaVersion, Specs: specs,
-		})
-	}
-	if err != nil {
+	if err := s.jobs.writeHeader(jobHeader{
+		Type: headerType, ID: j.id, Name: name, Experiment: experiment,
+		Schema: exp.SchemaVersion, Specs: specs,
+	}); err != nil {
 		// Degraded, not fatal: the job still runs, it just won't survive a
 		// crash — the same posture as a disabled store.
-		if jl != nil {
-			jl.Close()
-		}
 		s.noteJournalErr(err)
-		return j
 	}
-	j.mu.Lock()
-	j.jl, j.jlPath, j.onJournalErr = jl, path, s.noteJournalErr
-	j.mu.Unlock()
 	return j
 }
 
-// adoptJobs scans the journal directory and adopts every job it holds,
-// returning the tasks that must be re-enqueued (specs with no durable
-// outcome). Called once from New, before any request is served.
+// writeHeader appends and fsyncs a job's header, creating the job
+// directory on first use.
+func (r *jobRegistry) writeHeader(h jobHeader) error {
+	if err := os.MkdirAll(r.dir, 0o755); err != nil {
+		return err
+	}
+	jl, err := journal.OpenAppend(r.headerPath(h.ID))
+	if err != nil {
+		return err
+	}
+	if err := jl.Append(h); err != nil {
+		jl.Close()
+		return err
+	}
+	return jl.Close()
+}
+
+// adoptJobs scans the job directory and adopts every job it holds,
+// returning the tasks that must be re-enqueued (specs with no result in
+// the store). Called once from New, before any request is served.
 func (s *Server) adoptJobs() []task {
-	if s.journalDir == "" {
+	if s.jobs.dir == "" {
 		return nil
 	}
-	entries, err := os.ReadDir(s.journalDir)
+	entries, err := os.ReadDir(s.jobs.dir)
 	if err != nil {
-		s.log.Warn("cannot read job journals", "dir", s.journalDir, "err", err)
+		if !os.IsNotExist(err) { // else no job was ever created
+			s.log.Warn("cannot read job journals", "dir", s.jobs.dir, "err", err)
+		}
 		return nil
 	}
 	var adopted []task
@@ -102,19 +103,19 @@ func (s *Server) adoptJobs() []task {
 		if de.IsDir() || !strings.HasSuffix(de.Name(), ".jsonl") {
 			continue
 		}
-		adopted = append(adopted, s.adoptJob(filepath.Join(s.journalDir, de.Name()))...)
+		adopted = append(adopted, s.adoptJob(filepath.Join(s.jobs.dir, de.Name()))...)
 	}
 	return adopted
 }
 
-// adoptJob rebuilds one job from its journal. Outcomes are reconstructed
-// by probing the store for each journaled key: a hit restores the task
-// (payload bytes exactly as originally served), a miss — the entry was
-// GC'd — returns the spec to pending. The SSE event history is rebuilt in
-// journal order, which is the original completion order, so a
-// reconnecting subscriber sees the same ordered replay a crash
-// interrupted. Unreadable or foreign journals are skipped (and logged),
-// never deleted — except journals from an older schema generation, whose
+// adoptJob rebuilds one job from its header. Outcomes are reconstructed
+// by probing the store for each spec's key, in spec order: a hit restores
+// the task as a store hit (payload bytes exactly as originally served),
+// a miss leaves the spec pending. The SSE event history is rebuilt in the
+// same order, so a reconnecting subscriber sees every recovered task once,
+// then the live ones. A spec that failed before the crash has no result
+// and runs again. Unreadable or foreign files are skipped (and logged),
+// never deleted — except headers from an older schema generation, whose
 // store entries are already unreachable.
 func (s *Server) adoptJob(path string) []task {
 	lines, err := journal.Read(path)
@@ -137,98 +138,44 @@ func (s *Server) adoptJob(path string) []task {
 		return nil
 	}
 
-	specs := head.Specs
-	j := &job{
-		id:         head.ID,
-		name:       head.Name,
-		total:      len(specs),
-		experiment: head.Experiment,
-		outcomes:   make([]taskOutcome, len(specs)),
-	}
+	var assemble func([]taskOutcome) (string, error)
 	if head.Experiment != "" {
 		if e, ok := exp.LookupExperiment(head.Experiment); ok {
-			j.assemble = s.assembler(e, specs)
+			assemble = s.assembler(e, head.Specs)
 		} else {
-			j.assemble = func([]taskOutcome) (string, error) {
+			assemble = func([]taskOutcome) (string, error) {
 				return "", fmt.Errorf("serve: experiment %q no longer registered", head.Experiment)
 			}
 		}
 	}
+	j := newJob(head.ID, head.Name, head.Specs, head.Experiment, assemble)
 
 	st := s.runner.Options().Store
-	filled := make([]bool, len(specs))
-	gced := 0
-	for _, raw := range lines[1:] {
-		var tl taskLine
-		if json.Unmarshal(raw, &tl) != nil || tl.Type != taskType {
+	var pending []task
+	for i, sp := range head.Specs {
+		key := sp.Key()
+		payload, ok := st.Get(key)
+		if !ok {
+			pending = append(pending, task{spec: sp, job: j, index: i})
 			continue
 		}
-		if tl.Index < 0 || tl.Index >= len(specs) || filled[tl.Index] {
-			continue // out of range, or a duplicate from an earlier restart
-		}
-		out := taskOutcome{Index: tl.Index, Key: tl.Key}
-		if tl.Error != "" {
-			out.Error = tl.Error
-		} else {
-			var payload []byte
-			ok := false
-			if key, err := store.ParseKey(tl.Key); err == nil && st != nil {
-				payload, ok = st.Get(key)
-			}
-			if !ok {
-				// Journaled done, but the payload is gone (LRU eviction,
-				// corruption heal, or no store at all): pending again. The
-				// re-run is cheap if any fleet sibling still holds it warm.
-				gced++
-				continue
-			}
-			out.Source, out.Cached, out.Result = tl.Source, tl.Cached, payload
-		}
-		filled[tl.Index] = true
-		j.outcomes[tl.Index] = out
-		j.done++
-		switch {
-		case out.Error != "":
-			j.errs++
-		case out.Cached:
-			j.cached++
-		default:
-			j.computed++
-		}
-		j.events = append(j.events, jobEvent{
-			Type: eventTask, Index: tl.Index,
-			Label: specs[tl.Index].Name + " " + specs[tl.Index].Mechanism,
-			Key:   out.Key, Source: out.Source, Cached: out.Cached, Error: out.Error,
-			Done: j.done, Total: j.total,
+		j.record(sp, taskOutcome{
+			Index: i, Key: key.String(),
+			Source: exp.SourceStore.String(), Cached: true, Result: payload,
 		})
 	}
+	s.jobs.register(j)
 
-	if jl, err := journal.OpenAppend(path); err != nil {
-		s.noteJournalErr(err)
-	} else {
-		j.jl, j.jlPath, j.onJournalErr = jl, path, s.noteJournalErr
-	}
-	s.jobs.adopt(j)
-
-	if j.done == j.total {
-		j.mu.Lock()
-		j.finishLocked()
-		j.mu.Unlock()
+	if len(pending) == 0 {
 		s.log.Info("adopted job (complete)", "job", j.id, "total", j.total)
 		return nil
 	}
-	var pending []task
-	for i, sp := range specs {
-		if !filled[i] {
-			pending = append(pending, task{spec: sp, job: j, index: i})
-		}
-	}
-	s.log.Info("adopted job", "job", j.id, "done", j.done, "total", j.total, "reenqueued", len(pending), "gced", gced)
+	s.log.Info("adopted job", "job", j.id, "done", j.done, "total", j.total, "reenqueued", len(pending))
 	return pending
 }
 
-// noteJournalErr records the first journal write failure: the server
-// keeps completing work but reports itself degraded, because job state is
+// noteJournalErr records the first job header write failure: the server
+// keeps completing work but reports itself degraded, because new jobs are
 // no longer crash-durable.
 func (s *Server) noteJournalErr(err error) {
 	s.mu.Lock()
@@ -243,9 +190,10 @@ func (s *Server) noteJournalErr(err error) {
 }
 
 // degradedState reports whether the server should advertise itself
-// degraded — the store has flipped read-only, or job journaling failed —
-// and why. Degraded is an honest "still correct, no longer durable":
-// health checks stay 200 so orchestrators deprioritize rather than kill.
+// degraded — the store has flipped read-only, or a job header write
+// failed — and why. Degraded is an honest "still correct, no longer
+// durable": health checks stay 200 so orchestrators deprioritize rather
+// than kill.
 func (s *Server) degradedState() (bool, string) {
 	if st := s.runner.Options().Store; st != nil {
 		if deg, reason := st.Degraded(); deg {

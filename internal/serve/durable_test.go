@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -16,16 +17,16 @@ import (
 	"dsarp/internal/store"
 )
 
-// startDurable builds a service over an explicit store and journal dir
-// with no automatic Drain: durability tests stop their servers
-// deliberately — crash() for a kill -9 stand-in, shutdown() for a clean
-// exit — and often start a successor over the same directories.
-func startDurable(t *testing.T, opts exp.Options, cfg Config, st *store.Store, jdir string) *testService {
+// startDurable builds a service over an explicit store (its jobs/
+// subdirectory holds the job headers) with no automatic Drain: durability
+// tests stop their servers deliberately — crash() for a kill -9 stand-in,
+// shutdown() for a clean exit — and often start a successor over the same
+// store.
+func startDurable(t *testing.T, opts exp.Options, cfg Config, st *store.Store) *testService {
 	t.Helper()
 	opts.Store = st
 	r := exp.NewRunner(opts)
 	cfg.Runner = r
-	cfg.JournalDir = jdir
 	srv := New(cfg)
 	ts := httptest.NewServer(srv.Handler())
 	return &testService{Server: srv, runner: r, store: st, ts: ts}
@@ -92,16 +93,15 @@ func checkFullStream(t *testing.T, events []jobEvent, total int) {
 }
 
 // TestSSEAcrossRestart is the tentpole acceptance: an experiment job
-// hard-stopped mid-run survives a restart on the same store+journal
-// directories — same job ID, a full ordered SSE replay with no duplicate
-// or missing events, and a table byte-identical to a local run.
+// hard-stopped mid-run survives a restart on the same store directory —
+// same job ID, a full ordered SSE replay with no duplicate or missing
+// events, and a table byte-identical to a local run.
 func TestSSEAcrossRestart(t *testing.T) {
 	opts := tinyOpts()
 	dir := t.TempDir()
-	jdir := filepath.Join(dir, "jobs")
 
 	a := startDurable(t, opts, Config{Workers: 1, MaxQueue: 512},
-		openStoreDir(t, filepath.Join(dir, "store")), jdir)
+		openStoreDir(t, filepath.Join(dir, "store")))
 	resp, body := a.post(t, "/v1/experiments/fig7", nil)
 	if resp.StatusCode != http.StatusAccepted {
 		t.Fatalf("fig7: %d %s", resp.StatusCode, body)
@@ -129,7 +129,7 @@ func TestSSEAcrossRestart(t *testing.T) {
 	a.crash()
 
 	b := startDurable(t, opts, Config{Workers: 4, MaxQueue: 512},
-		openStoreDir(t, filepath.Join(dir, "store")), jdir)
+		openStoreDir(t, filepath.Join(dir, "store")))
 	defer b.shutdown(t)
 
 	// The same job ID resolves immediately on the successor.
@@ -152,15 +152,16 @@ func TestSSEAcrossRestart(t *testing.T) {
 	checkFullStream(t, readSSE(t, b, sw.ID), sw.Total)
 }
 
-// TestAdoptTornFinalLine: a crash can tear the journal's last line; the
-// torn tail is dropped and the rest of the job adopts cleanly.
+// TestAdoptTornFinalLine: a finished job's file is its header alone. A
+// file written by an older server also carries task lines, and a crash
+// can tear its last one; the task lines are ignored, the torn tail is
+// dropped, and the job adopts cleanly from its header and the store.
 func TestAdoptTornFinalLine(t *testing.T) {
 	opts := tinyOpts()
 	dir := t.TempDir()
-	jdir := filepath.Join(dir, "jobs")
 
 	a := startDurable(t, opts, Config{Workers: 2},
-		openStoreDir(t, filepath.Join(dir, "store")), jdir)
+		openStoreDir(t, filepath.Join(dir, "store")))
 	resp, body := a.post(t, "/v1/sweep", sweepRequest{Name: "torn",
 		Specs: []exp.SimSpec{tinySpec("torn-a"), tinySpec("torn-b")}})
 	if resp.StatusCode != http.StatusAccepted {
@@ -171,18 +172,31 @@ func TestAdoptTornFinalLine(t *testing.T) {
 	waitJobDone(t, a, sw.ID)
 	a.shutdown(t)
 
-	path := filepath.Join(jdir, sw.ID+".jsonl")
+	path := filepath.Join(dir, "store", "jobs", sw.ID+".jsonl")
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := bytes.Count(raw, []byte("\n")); n != 1 {
+		t.Errorf("finished job's file holds %d lines, want its header alone", n)
+	}
+
+	prep, err := a.runner.PrepareSpec(tinySpec("torn-a"))
+	if err != nil {
+		t.Fatal(err)
+	}
 	f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := f.WriteString(`{"type":"task","ind`); err != nil {
+	line := fmt.Sprintf(`{"type":"task","index":0,"key":%q,"source":"computed"}`, prep.Key())
+	if _, err := f.WriteString(line + "\n" + `{"type":"task","ind`); err != nil {
 		t.Fatal(err)
 	}
 	f.Close()
 
 	b := startDurable(t, opts, Config{Workers: 2},
-		openStoreDir(t, filepath.Join(dir, "store")), jdir)
+		openStoreDir(t, filepath.Join(dir, "store")))
 	defer b.shutdown(t)
 	st := waitJobDone(t, b, sw.ID)
 	if st.Done != 2 || st.Errors != 0 {
@@ -193,19 +207,17 @@ func TestAdoptTornFinalLine(t *testing.T) {
 	}
 }
 
-// TestAdoptStoreGCdThenDuplicateLines: two restarts in a row. A journaled
-// completion whose store entry was GC'd is pending again after restart
-// one — the successor recomputes it (appending a second journal line for
-// the same index). Restart two must then tolerate the duplicate: first
-// line wins, nothing reruns, results unchanged.
-func TestAdoptStoreGCdThenDuplicateLines(t *testing.T) {
+// TestAdoptRecomputesGCdEntry: two restarts in a row. A finished job
+// whose store entry was GC'd is pending again after restart one — the
+// successor recomputes it exactly once. Restart two finds the entry back
+// in the store and runs nothing: the outcome comes back as a store hit
+// with the original key and result bytes.
+func TestAdoptRecomputesGCdEntry(t *testing.T) {
 	opts := tinyOpts()
-	dir := t.TempDir()
-	jdir := filepath.Join(dir, "jobs")
-	storeDir := filepath.Join(dir, "store")
+	storeDir := filepath.Join(t.TempDir(), "store")
 
 	stA := openStoreDir(t, storeDir)
-	a := startDurable(t, opts, Config{Workers: 2}, stA, jdir)
+	a := startDurable(t, opts, Config{Workers: 2}, stA)
 	resp, body := a.post(t, "/v1/sweep", sweepRequest{Name: "gc",
 		Specs: []exp.SimSpec{tinySpec("gc")}})
 	if resp.StatusCode != http.StatusAccepted {
@@ -217,7 +229,7 @@ func TestAdoptStoreGCdThenDuplicateLines(t *testing.T) {
 	_, res1 := a.get(t, "/v1/jobs/"+sw.ID+"/results")
 	a.shutdown(t)
 
-	// GC the entry out from under the journal.
+	// GC the entry out from under the job.
 	prep, err := a.runner.PrepareSpec(tinySpec("gc"))
 	if err != nil {
 		t.Fatal(err)
@@ -226,7 +238,7 @@ func TestAdoptStoreGCdThenDuplicateLines(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	b := startDurable(t, opts, Config{Workers: 2}, openStoreDir(t, storeDir), jdir)
+	b := startDurable(t, opts, Config{Workers: 2}, openStoreDir(t, storeDir))
 	st := waitJobDone(t, b, sw.ID)
 	if st.Done != 1 || st.Errors != 0 {
 		t.Fatalf("adopted status %+v, want 1/1 clean", st)
@@ -240,20 +252,61 @@ func TestAdoptStoreGCdThenDuplicateLines(t *testing.T) {
 	}
 	b.shutdown(t)
 
-	// Second restart: journal now holds two lines for index 0. The first
-	// wins (its key is back in the store), nothing reruns.
-	c := startDurable(t, opts, Config{Workers: 2}, openStoreDir(t, storeDir), jdir)
+	// Second restart: the recomputed entry is in the store, nothing reruns.
+	c := startDurable(t, opts, Config{Workers: 2}, openStoreDir(t, storeDir))
 	defer c.shutdown(t)
-	if st := waitJobDone(t, c, sw.ID); st.Done != 1 || st.Errors != 0 {
-		t.Fatalf("second adoption status %+v", st)
+	st = waitJobDone(t, c, sw.ID)
+	if st.Done != 1 || st.Errors != 0 || st.CacheHits != 1 {
+		t.Fatalf("second adoption status %+v, want 1/1 clean with 1 cache hit", st)
 	}
 	if n := c.runner.SimsRun(); n != 0 {
 		t.Errorf("second adoption ran %d simulations, want 0", n)
 	}
 	checkFullStream(t, readSSE(t, c, sw.ID), 1)
 	_, res3 := c.get(t, "/v1/jobs/"+sw.ID+"/results")
-	if !bytes.Equal(res1, res3) {
-		t.Error("results changed across the second restart")
+	var first, recovered struct {
+		Results []taskOutcome `json:"results"`
+	}
+	json.Unmarshal(res1, &first)
+	json.Unmarshal(res3, &recovered)
+	if len(first.Results) != 1 || len(recovered.Results) != 1 {
+		t.Fatalf("results: %d and %d outcomes, want 1 each", len(first.Results), len(recovered.Results))
+	}
+	was, now := first.Results[0], recovered.Results[0]
+	if now.Key != was.Key || !bytes.Equal(now.Result, was.Result) {
+		t.Error("recovered outcome's key or result differs from the first run")
+	}
+	if now.Source != "store" || !now.Cached {
+		t.Errorf("recovered outcome source %q cached %v, want store hit", now.Source, now.Cached)
+	}
+}
+
+// TestAdoptRetriesFailedTask: a failure is not a result. A task that
+// failed before the restart (here a watchdog abort) is not replayed as
+// failed; the successor runs it again and the job finishes clean.
+func TestAdoptRetriesFailedTask(t *testing.T) {
+	storeDir := filepath.Join(t.TempDir(), "store")
+	spec := tinySpec("retry")
+	spec.Measure = 2_000_000 // long enough for the watchdog to fire
+
+	opts := tinyOpts()
+	opts.SimTimeout = time.Nanosecond
+	a := startDurable(t, opts, Config{Workers: 1}, openStoreDir(t, storeDir))
+	resp, body := a.post(t, "/v1/sweep", sweepRequest{Name: "retry", Specs: []exp.SimSpec{spec}})
+	if resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("sweep: %d %s", resp.StatusCode, body)
+	}
+	var sw sweepResponse
+	json.Unmarshal(body, &sw)
+	if st := waitJobDone(t, a, sw.ID); st.Errors != 1 {
+		t.Fatalf("status under a 1ns budget %+v, want 1 error", st)
+	}
+	a.shutdown(t)
+
+	b := startDurable(t, tinyOpts(), Config{Workers: 1}, openStoreDir(t, storeDir))
+	defer b.shutdown(t)
+	if st := waitJobDone(t, b, sw.ID); st.Errors != 0 || st.Computed != 1 {
+		t.Errorf("adopted status %+v, want 0 errors and 1 computed", st)
 	}
 }
 
@@ -263,9 +316,7 @@ func TestAdoptStoreGCdThenDuplicateLines(t *testing.T) {
 // two into one simulation.
 func TestAdoptionRacesIdenticalPost(t *testing.T) {
 	opts := tinyOpts()
-	dir := t.TempDir()
-	jdir := filepath.Join(dir, "jobs")
-	storeDir := filepath.Join(dir, "store")
+	storeDir := filepath.Join(t.TempDir(), "store")
 
 	slow := func(name string) exp.SimSpec {
 		s := tinySpec(name)
@@ -274,7 +325,7 @@ func TestAdoptionRacesIdenticalPost(t *testing.T) {
 	}
 	specs := []exp.SimSpec{slow("race-a"), slow("race-b")}
 
-	a := startDurable(t, opts, Config{Workers: 1}, openStoreDir(t, storeDir), jdir)
+	a := startDurable(t, opts, Config{Workers: 1}, openStoreDir(t, storeDir))
 	resp, body := a.post(t, "/v1/sweep", sweepRequest{Name: "race", Specs: specs})
 	if resp.StatusCode != http.StatusAccepted {
 		t.Fatalf("sweep: %d %s", resp.StatusCode, body)
@@ -285,7 +336,7 @@ func TestAdoptionRacesIdenticalPost(t *testing.T) {
 
 	// Successor adopts (re-enqueueing the unfinished specs) while an
 	// identical sweep arrives over HTTP.
-	b := startDurable(t, opts, Config{Workers: 2}, openStoreDir(t, storeDir), jdir)
+	b := startDurable(t, opts, Config{Workers: 2}, openStoreDir(t, storeDir))
 	defer b.shutdown(t)
 	resp, body = b.post(t, "/v1/sweep", sweepRequest{Name: "race", Specs: specs})
 	if resp.StatusCode != http.StatusAccepted {

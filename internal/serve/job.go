@@ -8,7 +8,6 @@ import (
 	"sync"
 
 	"dsarp/internal/exp"
-	"dsarp/internal/journal"
 	"dsarp/internal/sim"
 )
 
@@ -81,13 +80,25 @@ type job struct {
 	tableErr string
 	events   []jobEvent      // completion-ordered history, replayed to late subscribers
 	subs     []chan jobEvent // live subscribers; buffered so publish never blocks
+}
 
-	// Durability (see durable.go): jl is the job's journal, appended to —
-	// and fsynced — before each completion is published; nil when the
-	// server runs without a journal directory or after a write failure.
-	jl           *journal.File
-	jlPath       string
-	onJournalErr func(error)
+// newJob builds a job over specs. A zero-spec experiment (fig5 is
+// analytic) is born done, table included.
+func newJob(id, name string, specs []exp.SimSpec, experiment string, assemble func([]taskOutcome) (string, error)) *job {
+	j := &job{
+		id:         id,
+		name:       name,
+		total:      len(specs),
+		experiment: experiment,
+		assemble:   assemble,
+		outcomes:   make([]taskOutcome, len(specs)),
+	}
+	if j.total == 0 {
+		j.mu.Lock()
+		j.finishLocked()
+		j.mu.Unlock()
+	}
+	return j
 }
 
 // complete records a finished task and publishes its event. Called by
@@ -105,24 +116,15 @@ func (j *job) complete(index int, spec exp.SimSpec, res sim.Result, src exp.RunS
 			out.Error = encErr.Error()
 		}
 	}
+	j.record(spec, out)
+}
 
+// record stores one task's outcome and publishes its event, then the done
+// event if it was the last task.
+func (j *job) record(spec exp.SimSpec, out taskOutcome) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	if j.jl != nil {
-		line := taskLine{
-			Type: taskType, Index: index, Key: out.Key,
-			Source: out.Source, Cached: out.Cached, Error: out.Error,
-		}
-		if jerr := j.jl.Append(line); jerr != nil {
-			// Keep serving from memory; the job just stops being durable.
-			j.jl.Close()
-			j.jl = nil
-			if j.onJournalErr != nil {
-				j.onJournalErr(jerr)
-			}
-		}
-	}
-	j.outcomes[index] = out
+	j.outcomes[out.Index] = out
 	j.done++
 	switch {
 	case out.Error != "":
@@ -133,7 +135,7 @@ func (j *job) complete(index int, spec exp.SimSpec, res sim.Result, src exp.RunS
 		j.computed++
 	}
 	ev := jobEvent{
-		Type: eventTask, Index: index, Label: spec.Name + " " + spec.Mechanism,
+		Type: eventTask, Index: out.Index, Label: spec.Name + " " + spec.Mechanism,
 		Key: out.Key, Source: out.Source, Cached: out.Cached, Error: out.Error,
 		Done: j.done, Total: j.total,
 	}
@@ -217,22 +219,6 @@ func (j *job) status() jobStatus {
 	return st
 }
 
-// dropJournal closes and deletes the job's journal. Used at eviction: an
-// evicted job is no longer resolvable by ID, so adopting its journal
-// after a restart would resurrect a job nobody can have a handle to.
-func (j *job) dropJournal() {
-	j.mu.Lock()
-	jl, path := j.jl, j.jlPath
-	j.jl, j.jlPath = nil, ""
-	j.mu.Unlock()
-	if jl != nil {
-		jl.Close()
-	}
-	if path != "" {
-		os.Remove(path)
-	}
-}
-
 func (j *job) results() (jobStatus, []taskOutcome) {
 	st := j.status()
 	j.mu.Lock()
@@ -253,6 +239,7 @@ type jobRegistry struct {
 	jobs  map[string]*job
 	order []*job // creation order
 	cap   int
+	dir   string // where job headers live (durable.go); "" when jobs die with the process
 }
 
 // defaultJobCap bounds retained jobs; generous next to MaxQueue since a
@@ -267,32 +254,15 @@ func (r *jobRegistry) create(name string, specs []exp.SimSpec) *job {
 	return r.createExperiment(name, specs, "", nil)
 }
 
-// createExperiment registers an experiment job: when the last spec lands,
-// assemble renders its table from the outcomes. A zero-spec experiment
-// (fig5 is analytic) is born done, table included.
+// createExperiment registers an experiment job under a fresh ID: when the
+// last spec lands, assemble renders its table from the outcomes.
 func (r *jobRegistry) createExperiment(name string, specs []exp.SimSpec, experiment string, assemble func([]taskOutcome) (string, error)) *job {
 	var b [8]byte
 	rand.Read(b[:])
-	j := &job{
-		id:         hex.EncodeToString(b[:]),
-		name:       name,
-		total:      len(specs),
-		experiment: experiment,
-		assemble:   assemble,
-		outcomes:   make([]taskOutcome, len(specs)),
-	}
-	if j.total == 0 {
-		j.mu.Lock()
-		j.finishLocked()
-		j.mu.Unlock()
-	}
+	j := newJob(hex.EncodeToString(b[:]), name, specs, experiment, assemble)
 	r.register(j)
 	return j
 }
-
-// adopt registers a job rebuilt from its journal (durable.go), keeping
-// the ID it was created under.
-func (r *jobRegistry) adopt(j *job) { r.register(j) }
 
 func (r *jobRegistry) register(j *job) {
 	r.mu.Lock()
@@ -310,7 +280,12 @@ func (r *jobRegistry) register(j *job) {
 		evicted := r.order[victim]
 		delete(r.jobs, evicted.id)
 		r.order = append(r.order[:victim], r.order[victim+1:]...)
-		evicted.dropJournal()
+		if r.dir != "" {
+			// An evicted job is no longer resolvable by ID: adopting its
+			// header after a restart would resurrect a job nobody can have
+			// a handle to.
+			os.Remove(r.headerPath(evicted.id))
+		}
 	}
 }
 
@@ -336,7 +311,8 @@ func (r jobRegistry) stateCounts() (running, done int) {
 	}
 	r.mu.Unlock()
 	// Job locks are taken outside the registry lock: status() is cheap,
-	// but complete() holds a job lock while it journals.
+	// but complete() holds a job lock while it assembles a finished
+	// experiment's table.
 	for _, j := range jobs {
 		if j.status().State == "done" {
 			done++

@@ -38,7 +38,7 @@ import (
 	"log/slog"
 	"math"
 	"net/http"
-	"os"
+	"path/filepath"
 	"runtime"
 	"strconv"
 	"sync"
@@ -53,7 +53,10 @@ import (
 // Config assembles a Server.
 type Config struct {
 	// Runner executes specs; its Store (if any) is the persistence layer
-	// and its singleflight is the cross-request dedup layer.
+	// and its singleflight is the cross-request dedup layer. A store also
+	// makes jobs crash-durable: each job's header is written under
+	// <store>/jobs and adopted back — same IDs, stored results restored,
+	// the rest re-enqueued — when the next Server starts on the store.
 	Runner *exp.Runner
 	// Workers bounds concurrently-running simulations (default: GOMAXPROCS).
 	Workers int
@@ -63,18 +66,13 @@ type Config struct {
 	// Chaos, if non-nil, injects faults ahead of the /v1 handlers — see
 	// the Chaos type. Production deployments leave it nil.
 	Chaos *Chaos
-	// JournalDir, if set, makes jobs crash-durable: every job is journaled
-	// there and adopted back — same IDs, same event history, unfinished
-	// specs re-enqueued — when the next Server starts on the directory.
-	// Empty disables durability (jobs die with the process, as before).
-	JournalDir string
 	// Peer, if non-nil, joins this worker to the fleet's replicated
 	// warm-store tier: local store misses for keys the ring places on
 	// other members are hedge-fetched from them before simulating, and
 	// computed results are pushed to the key's other owners. Requires a
 	// store-backed Runner.
 	Peer *PeerConfig
-	// Log receives operational messages (journal adoption, degradation,
+	// Log receives operational messages (job adoption, degradation,
 	// replication failures) as structured records. Nil discards them.
 	Log *slog.Logger
 	// Metrics is the registry GET /metrics renders; the server registers
@@ -108,14 +106,13 @@ type taskReply struct {
 
 // Server owns the worker pool, the queue, and the job registry.
 type Server struct {
-	runner     *exp.Runner
-	mux        *http.ServeMux
-	handler    http.Handler // mux, possibly behind chaos middleware
-	queue      chan task
-	workersN   int
-	journalDir string
-	log        *slog.Logger
-	peer       *peerNet // nil unless Config.Peer joined a replication tier
+	runner   *exp.Runner
+	mux      *http.ServeMux
+	handler  http.Handler // mux, possibly behind chaos middleware
+	queue    chan task
+	workersN int
+	log      *slog.Logger
+	peer     *peerNet // nil unless Config.Peer joined a replication tier
 
 	reg     *telemetry.Registry
 	metrics *serverMetrics
@@ -134,7 +131,7 @@ type Server struct {
 	maxQueue   int
 	draining   bool
 	simEWMA    float64 // EWMA of one computed simulation's wall time, seconds
-	journalErr string  // first job-journal write failure; "" while healthy
+	journalErr string  // first job header write failure; "" while healthy
 
 	tasks   sync.WaitGroup // queued or running tasks
 	workers sync.WaitGroup
@@ -154,25 +151,23 @@ func New(cfg Config) *Server {
 		cfg.MaxQueue = 256
 	}
 	s := &Server{
-		runner:     cfg.Runner,
-		queue:      make(chan task, cfg.MaxQueue),
-		workersN:   cfg.Workers,
-		journalDir: cfg.JournalDir,
-		log:        cfg.Log,
-		trace:      cfg.Trace,
-		halted:     make(chan struct{}),
-		free:       cfg.MaxQueue,
-		maxQueue:   cfg.MaxQueue,
-		jobs:       newJobRegistry(),
+		runner:   cfg.Runner,
+		queue:    make(chan task, cfg.MaxQueue),
+		workersN: cfg.Workers,
+		log:      cfg.Log,
+		trace:    cfg.Trace,
+		halted:   make(chan struct{}),
+		free:     cfg.MaxQueue,
+		maxQueue: cfg.MaxQueue,
+		jobs:     newJobRegistry(),
 	}
 	if s.log == nil {
 		s.log = telemetry.DiscardLogger()
 	}
-	if s.journalDir != "" {
-		if err := os.MkdirAll(s.journalDir, 0o755); err != nil {
-			s.noteJournalErr(err)
-			s.journalDir = ""
-		}
+	if st := cfg.Runner.Options().Store; st != nil {
+		// Job headers live beside the results they name: adopting a store
+		// directory means adopting its jobs too.
+		s.jobs.dir = filepath.Join(st.Dir(), "jobs")
 	}
 	if cfg.Peer != nil {
 		if cfg.Runner.Options().Store == nil {
@@ -225,7 +220,7 @@ func New(cfg Config) *Server {
 		s.workers.Add(1)
 		go s.worker()
 	}
-	// Adopt journaled jobs from a previous incarnation before any request
+	// Adopt the jobs of a previous incarnation before any request
 	// can race them, then feed the re-enqueued specs from the background:
 	// an adopted backlog larger than the queue buffer must not block New.
 	if adopted := s.adoptJobs(); len(adopted) > 0 {
@@ -319,8 +314,8 @@ func (s *Server) worker() {
 
 // halt stops the server the way a crash would: submissions are refused,
 // workers finish at most their current task, and everything still queued
-// is abandoned — its journal entries were never written, so a successor
-// adopting the journal directory re-enqueues exactly those specs. Used by
+// is abandoned — its results never reached the store, so a successor
+// adopting the job re-enqueues exactly those specs. Used by
 // durability tests (a real kill -9 needs no cooperation); a halted Server
 // must not be Drained, since abandoned tasks would keep Drain waiting
 // forever.
