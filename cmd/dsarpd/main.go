@@ -43,13 +43,16 @@
 //
 // -checkpoint-every N makes simulations resumable (requires a store):
 // every run persists its machine state at the warmup boundary and every
-// N DRAM cycles of the measurement window, content-addressed under the
+// N DRAM cycles of the measurement window, the window's last cycle
+// included when N divides the measure, content-addressed under the
 // spec's prefix key, and every run first probes the store for the
 // deepest usable snapshot to resume from. A watchdog-aborted, killed, or
 // re-enqueued run then re-simulates at most N cycles of tail instead of
-// the whole window, and extending a spec's measurement window skips the
-// entire shared prefix. With -peers, snapshots replicate like results,
-// so the retry can land on a different worker.
+// the whole window, and extending a spec's measurement window resumes
+// where the shorter run ended. That last snapshot is written after the
+// reply; an extension that arrives first resumes, exactly, from a
+// shallower one. With -peers, snapshots replicate like results, so the
+// retry can land on a different worker.
 //
 // -peers joins the worker to a replicated warm-store tier: every member
 // builds the same rendezvous ring over the member URLs (-self plus
@@ -123,7 +126,7 @@ func mainImpl() int {
 		replicas   = flag.Int("replicas", 2, "warm-store replication factor R (with -peers)")
 		drainSecs  = flag.Int("drain-timeout", 60, "seconds to wait for in-flight work on shutdown")
 		simTimeout = flag.Duration("sim-timeout", 0, "wall-clock budget per simulation (0 = unlimited); exceeding it aborts the run with a retryable 504")
-		ckptEvery  = flag.Int64("checkpoint-every", 0, "persist resumable machine-state snapshots every N measure cycles plus the warmup boundary (0 disables; requires -store)")
+		ckptEvery  = flag.Int64("checkpoint-every", 0, "persist resumable machine-state snapshots at the warmup boundary and every N measure cycles, the window's last cycle included when N divides the measure (0 disables; requires -store)")
 		chaosSpec  = flag.String("chaos", "", "inject faults for orchestrator testing, e.g. 'fail=0.1,drop=0.05,stall=0.1:2s,kill=100,diskfail=0.2,seed=7'")
 		debugAddr  = flag.String("debug-addr", "", "side listener for /metrics and /debug/pprof ('' disables)")
 		tracePath  = flag.String("trace", "", "append serve-side spans for X-Dsarp-Trace requests to this JSONL file")

@@ -20,6 +20,30 @@ func checkpointOpts(t *testing.T) Options {
 	return opts
 }
 
+// corruptSnapshot flips one payload byte of a stored snapshot and rewrites
+// it through the store, so the store's own envelope verifies and the snap
+// container must catch the damage.
+func corruptSnapshot(t *testing.T, st *store.Store, pkey store.Key) {
+	t.Helper()
+	data, ok := st.GetKind(pkey, store.KindSnapshot)
+	if !ok {
+		t.Fatal("snapshot to corrupt is missing")
+	}
+	bad := append([]byte(nil), data...)
+	bad[len(bad)-1] ^= 0x01
+	if err := st.PutKind(pkey, store.KindSnapshot, bad); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// ckptRunner builds a runner whose deferred checkpoint writes are waited
+// for before the test's store directory is removed.
+func ckptRunner(t *testing.T, opts Options) *Runner {
+	r := NewRunner(opts)
+	t.Cleanup(r.WaitCheckpoints)
+	return r
+}
+
 // dropResultEntry removes a result from the store so the compute path runs
 // again while the snapshot namespace stays warm.
 func dropResultEntry(t *testing.T, st *store.Store, key store.Key) {
@@ -41,7 +65,7 @@ func dropResultEntry(t *testing.T, st *store.Store, key store.Key) {
 // bit-identical result while skipping the shared prefix.
 func TestCheckpointWriteAndSelfResume(t *testing.T) {
 	opts := checkpointOpts(t)
-	cold := NewRunner(opts)
+	cold := ckptRunner(t, opts)
 	wl := cold.Mixes()[0]
 	spec := cold.specFor(wl, core.KindDSARP, timing.Gb8, "")
 	want, info, err := cold.RunSpecInfo(spec)
@@ -51,20 +75,21 @@ func TestCheckpointWriteAndSelfResume(t *testing.T) {
 	if info.Source != SourceComputed || info.ResumedFrom != 0 {
 		t.Fatalf("cold run info = %+v", info)
 	}
-	// Warmup boundary at 10k plus periodic snapshots at 20k, 30k, 40k
-	// (strictly inside [10k, 50k)).
-	if n := cold.CheckpointsWritten(); n != 4 {
-		t.Errorf("CheckpointsWritten = %d, want 4", n)
+	// Warmup boundary at 10k plus periodic snapshots at 20k, 30k, 40k and
+	// the window's last cycle, 50k, which lands after the Result.
+	cold.WaitCheckpoints()
+	if n := cold.CheckpointsWritten(); n != 5 {
+		t.Errorf("CheckpointsWritten = %d, want 5", n)
 	}
 	if cold.CheckpointBytesWritten() <= 0 {
 		t.Error("no snapshot bytes accounted")
 	}
-	if st := opts.Store.Stats(); st.SnapshotEntries != 4 {
-		t.Errorf("store snapshot entries = %d, want 4", st.SnapshotEntries)
+	if st := opts.Store.Stats(); st.SnapshotEntries != 5 {
+		t.Errorf("store snapshot entries = %d, want 5", st.SnapshotEntries)
 	}
 
 	// The result itself is on disk, so a rerun is a plain store hit.
-	warm := NewRunner(opts)
+	warm := ckptRunner(t, opts)
 	got, winfo, err := warm.RunSpecInfo(spec)
 	if err != nil || winfo.Source != SourceStore {
 		t.Fatalf("warm result lookup: %+v, %v", winfo, err)
@@ -74,8 +99,10 @@ func TestCheckpointWriteAndSelfResume(t *testing.T) {
 	}
 
 	// Force the compute path by removing only the result entry: the
-	// simulation must restart from the deepest snapshot, not cycle 0.
-	fresh := NewRunner(opts)
+	// simulation must restart from the deepest snapshot, not cycle 0. The
+	// probes stay strictly inside the window, so that is 40k, not the
+	// window-end snapshot.
+	fresh := ckptRunner(t, opts)
 	dropResultEntry(t, opts.Store, spec.Key())
 	got, info, err = fresh.RunSpecInfo(spec)
 	if err != nil {
@@ -100,16 +127,17 @@ func TestCheckpointWriteAndSelfResume(t *testing.T) {
 
 // TestCheckpointMeasureExtension: a short-measure run's snapshots
 // accelerate a longer-measure rerun of the otherwise-identical spec — the
-// prefix key zeroes Measure — and the extended result is bit-identical to
-// a cold extended run.
+// prefix key zeroes Measure — which resumes where the short run ended,
+// and the extended result is bit-identical to a cold extended run.
 func TestCheckpointMeasureExtension(t *testing.T) {
 	opts := checkpointOpts(t)
-	short := NewRunner(opts)
+	short := ckptRunner(t, opts)
 	wl := short.Mixes()[0]
 	shortSpec := short.specFor(wl, core.KindREFpb, timing.Gb8, "")
 	if _, _, err := short.RunSpecInfo(shortSpec); err != nil {
 		t.Fatal(err)
 	}
+	short.WaitCheckpoints()
 	if short.CheckpointsWritten() == 0 {
 		t.Fatal("short run wrote no snapshots")
 	}
@@ -126,7 +154,7 @@ func TestCheckpointMeasureExtension(t *testing.T) {
 		t.Fatalf("checkpoint-free runner resumed from %d", info.ResumedFrom)
 	}
 
-	long := NewRunner(opts)
+	long := ckptRunner(t, opts)
 	got, info, err := long.RunSpecInfo(longSpec)
 	if err != nil {
 		t.Fatal(err)
@@ -134,9 +162,8 @@ func TestCheckpointMeasureExtension(t *testing.T) {
 	if info.Source != SourceComputed {
 		t.Fatalf("source = %v, want computed (different Measure, different result key)", info.Source)
 	}
-	if info.ResumedFrom <= shortSpec.Warmup {
-		t.Errorf("resumed from %d, want a mid-measure checkpoint past warmup %d",
-			info.ResumedFrom, shortSpec.Warmup)
+	if end := shortSpec.Warmup + shortSpec.Measure; info.ResumedFrom != end {
+		t.Errorf("resumed from %d, want the short run's window end %d", info.ResumedFrom, end)
 	}
 	if !reflect.DeepEqual(coldRef, got) {
 		t.Errorf("measure-extension result diverged from cold long run:\n got:  %+v\n want: %+v", got, coldRef)
@@ -148,12 +175,13 @@ func TestCheckpointMeasureExtension(t *testing.T) {
 // cycle 0 — the "lose only the tail" contract behind fleet retries.
 func TestCheckpointSurvivesWatchdogAbort(t *testing.T) {
 	opts := checkpointOpts(t)
-	healthy := NewRunner(opts)
+	healthy := ckptRunner(t, opts)
 	wl := healthy.Mixes()[0]
 	spec := healthy.specFor(wl, core.KindREFab, timing.Gb8, "")
 	if _, _, err := healthy.RunSpecInfo(spec); err != nil {
 		t.Fatal(err)
 	}
+	healthy.WaitCheckpoints()
 
 	// A measure-extended rerun under a vanishing budget: it resumes from
 	// the short run's snapshots, then the watchdog kills it long before
@@ -162,7 +190,7 @@ func TestCheckpointSurvivesWatchdogAbort(t *testing.T) {
 	longSpec.Measure = 2_000_000
 	abortOpts := opts
 	abortOpts.SimTimeout = time.Nanosecond
-	aborting := NewRunner(abortOpts)
+	aborting := ckptRunner(t, abortOpts)
 	if _, _, err := aborting.RunSpecInfo(longSpec); !errors.Is(err, ErrSimTimeout) {
 		t.Fatalf("vanishing budget = %v, want ErrSimTimeout", err)
 	}
@@ -179,14 +207,14 @@ func TestCheckpointSurvivesWatchdogAbort(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	retry := NewRunner(opts)
+	retry := ckptRunner(t, opts)
 	got, info, err := retry.RunSpecInfo(retrySpec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if info.ResumedFrom < spec.Warmup+3*opts.CheckpointEvery {
-		t.Errorf("retry resumed from %d; the healthy run's deepest checkpoint %d should have survived",
-			info.ResumedFrom, spec.Warmup+3*opts.CheckpointEvery)
+	if end := spec.Warmup + spec.Measure; info.ResumedFrom < end {
+		t.Errorf("retry resumed from %d; the healthy run's deepest checkpoint, its window end %d, should have survived",
+			info.ResumedFrom, end)
 	}
 	if !reflect.DeepEqual(want, got) {
 		t.Error("retried result diverged from a cold run")
@@ -198,30 +226,19 @@ func TestCheckpointSurvivesWatchdogAbort(t *testing.T) {
 // a wrong result.
 func TestCheckpointFallsBackOnCorruptSnapshot(t *testing.T) {
 	opts := checkpointOpts(t)
-	r1 := NewRunner(opts)
+	r1 := ckptRunner(t, opts)
 	wl := r1.Mixes()[0]
 	spec := r1.specFor(wl, core.KindElastic, timing.Gb8, "")
 	want, _, err := r1.RunSpecInfo(spec)
 	if err != nil {
 		t.Fatal(err)
 	}
+	r1.WaitCheckpoints()
 
-	// Corrupt the deepest snapshot in place: flip one payload byte and
-	// rewrite it through the store, so the store's own envelope verifies
-	// and the snap container must catch the damage.
-	deepest := spec.Warmup + 3*opts.CheckpointEvery
-	pkey := spec.PrefixKey(deepest)
-	data, ok := opts.Store.GetKind(pkey, store.KindSnapshot)
-	if !ok {
-		t.Fatal("deepest snapshot missing")
-	}
-	bad := append([]byte(nil), data...)
-	bad[len(bad)-1] ^= 0x01
-	if err := opts.Store.PutKind(pkey, store.KindSnapshot, bad); err != nil {
-		t.Fatal(err)
-	}
+	// Corrupt the deepest snapshot the self-resume probes.
+	corruptSnapshot(t, opts.Store, spec.PrefixKey(spec.Warmup+3*opts.CheckpointEvery))
 
-	r2 := NewRunner(opts)
+	r2 := ckptRunner(t, opts)
 	dropResultEntry(t, opts.Store, spec.Key())
 	got, info, err := r2.RunSpecInfo(spec)
 	if err != nil {
@@ -231,8 +248,55 @@ func TestCheckpointFallsBackOnCorruptSnapshot(t *testing.T) {
 		t.Errorf("resumed from %d, want the next-deepest intact checkpoint %d",
 			info.ResumedFrom, next)
 	}
+	if n := r2.CheckpointsRejected(); n != 1 || len(info.Rejected) != 1 {
+		t.Errorf("CheckpointsRejected = %d, RunInfo.Rejected = %v; want the one corrupt snapshot", n, info.Rejected)
+	}
 	if !reflect.DeepEqual(want, got) {
 		t.Error("fallback result diverged")
+	}
+}
+
+// TestCorruptWindowEndFallsBackToWarmup: a measure extension whose only
+// deeper entry point, the shorter run's window-end snapshot, is corrupt
+// falls back to the warmup boundary, counts the rejection, and still
+// produces the cold run's Result.
+func TestCorruptWindowEndFallsBackToWarmup(t *testing.T) {
+	opts := checkpointOpts(t)
+	opts.CheckpointEvery = opts.Measure // grid: warmup boundary and window end
+	short := ckptRunner(t, opts)
+	spec := short.specFor(short.Mixes()[0], core.KindDSARP, timing.Gb8, "")
+	if _, _, err := short.RunSpecInfo(spec); err != nil {
+		t.Fatal(err)
+	}
+	short.WaitCheckpoints()
+	if n := short.CheckpointsWritten(); n != 2 {
+		t.Fatalf("short run wrote %d snapshots, want warmup boundary and window end", n)
+	}
+
+	corruptSnapshot(t, opts.Store, spec.PrefixKey(spec.Warmup+spec.Measure))
+
+	longSpec := spec
+	longSpec.Measure = spec.Measure + 30_000
+	want, _, err := NewRunner(tinyOpts()).RunSpecInfo(longSpec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	long := ckptRunner(t, opts)
+	got, info, err := long.RunSpecInfo(longSpec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if info.ResumedFrom != spec.Warmup {
+		t.Errorf("resumed from %d, want the warmup boundary %d", info.ResumedFrom, spec.Warmup)
+	}
+	if n := long.CheckpointsRejected(); n != 1 {
+		t.Errorf("CheckpointsRejected = %d, want 1", n)
+	}
+	if len(info.Rejected) != 1 {
+		t.Errorf("RunInfo.Rejected = %v, want the window-end snapshot", info.Rejected)
+	}
+	if !reflect.DeepEqual(want, got) {
+		t.Error("fallback result diverged from a cold run")
 	}
 }
 

@@ -71,14 +71,18 @@ type Options struct {
 	// the same spec, a measure-extension rerun, or a retry after a crash
 	// or watchdog abort — skips the warmup entirely. Snapshots are pure
 	// accelerators: a missing, corrupt, or version-mismatched one falls
-	// back to a cold run, never to an error, and results are bit-identical
-	// either way. Ignored without a Store.
+	// back to a shallower one or a cold run, never to an error (an
+	// unusable one is counted in CheckpointsRejected), and results are
+	// bit-identical either way. Ignored without a Store.
 	Checkpoints bool
 	// CheckpointEvery, if positive (and Checkpoints is on), additionally
-	// writes periodic snapshots every N DRAM cycles inside the measurement
+	// writes periodic snapshots every N DRAM cycles of the measurement
 	// window, bounding how much work an interrupted run loses to the tail
-	// since its last checkpoint. Zero writes only the warmup-boundary
-	// snapshot.
+	// since its last checkpoint. When N divides Measure the grid includes
+	// the window's last cycle, so a longer-Measure rerun resumes where
+	// this run ended; that snapshot is written after the Result is
+	// returned (see WaitCheckpoints). Zero writes only the
+	// warmup-boundary snapshot.
 	CheckpointEvery int64
 	// EphemeralResults bounds the runner's memory when a Store is
 	// configured: completed results are NOT retained in the in-memory
@@ -144,6 +148,10 @@ type Runner struct {
 	ckptWrittenBytes  atomic.Int64
 	ckptRestored      atomic.Int64 // simulations started from a stored snapshot
 	ckptRestoredBytes atomic.Int64
+	ckptRejected      atomic.Int64 // stored snapshots found but unusable
+	// ckptPending tracks deferred window-end checkpoint writes (see
+	// WaitCheckpoints).
+	ckptPending sync.WaitGroup
 
 	// interrupted stops the worker pool from starting new simulations;
 	// in-flight ones finish (and reach the store). See Interrupt.
@@ -363,6 +371,10 @@ type RunInfo struct {
 	// when checkpoint reuse kicked in, 0 for a cold run (and for results
 	// served without simulating).
 	ResumedFrom int64
+	// Rejected holds one error, naming its cycle, for each snapshot the
+	// computation found but could not resume from before it settled on
+	// ResumedFrom (each is also counted in CheckpointsRejected).
+	Rejected []error
 }
 
 // RunSpecInfo executes (or recalls) the simulation an external spec
@@ -389,8 +401,8 @@ func (r *Runner) RunSpecInfo(spec SimSpec) (res sim.Result, info RunInfo, err er
 			err = fmt.Errorf("exp: run %s: %v", spec.label(), v)
 		}
 	}()
-	res, src, from := r.runSpec(spec, mod)
-	return res, RunInfo{Source: src, ResumedFrom: from}, nil
+	res, info = r.runSpec(spec, mod)
+	return res, info, nil
 }
 
 // runSpec is the shared cached-execution path: in-memory cache and
@@ -398,15 +410,14 @@ func (r *Runner) RunSpecInfo(spec SimSpec) (res sim.Result, info RunInfo, err er
 // whose result is published to both. Concurrent calls with the same key
 // share a single execution. Panics on simulation errors (RunSpecInfo
 // converts them back to errors).
-func (r *Runner) runSpec(spec SimSpec, mod func(*sim.Config)) (sim.Result, RunSource, int64) {
+func (r *Runner) runSpec(spec SimSpec, mod func(*sim.Config)) (sim.Result, RunInfo) {
 	key := spec.Key()
-	src := SourceMemory
-	var resumedFrom int64
+	info := RunInfo{Source: SourceMemory}
 	var done int
 	res, computed := singleflight(r, r.cache, r.running, key, func() (sim.Result, bool) {
 		if data, ok := r.storeGet(key); ok {
 			if res, err := DecodeResult(data); err == nil {
-				src = SourceStore
+				info.Source = SourceStore
 				r.storeHits.Add(1)
 				return res, !r.ephemeral()
 			}
@@ -421,7 +432,7 @@ func (r *Runner) runSpec(spec SimSpec, mod func(*sim.Config)) (sim.Result, RunSo
 					// locally (byte-identity preserved — no re-encode), so
 					// the next membership-aware reader finds the entry where
 					// the ring says to look.
-					src = SourcePeer
+					info.Source = SourcePeer
 					persisted := r.storePutRaw(key, data)
 					return res, !r.ephemeral() || !persisted
 				}
@@ -440,8 +451,7 @@ func (r *Runner) runSpec(spec SimSpec, mod func(*sim.Config)) (sim.Result, RunSo
 			cfg.Stop = stop
 			watchdog = time.AfterFunc(r.opts.SimTimeout, func() { stop.Store(true) })
 		}
-		res, from, err := r.simulate(spec, cfg)
-		resumedFrom = from
+		res, err := r.simulate(spec, cfg, &info)
 		if watchdog != nil {
 			watchdog.Stop()
 		}
@@ -455,7 +465,7 @@ func (r *Runner) runSpec(spec SimSpec, mod func(*sim.Config)) (sim.Result, RunSo
 		if err != nil {
 			panic(fmt.Sprintf("exp: %s: %v", spec.label(), err))
 		}
-		src = SourceComputed
+		info.Source = SourceComputed
 		r.simsRun.Add(1)
 		persisted := r.storePut(key, res)
 		return res, !r.ephemeral() || !persisted
@@ -466,7 +476,7 @@ func (r *Runner) runSpec(spec SimSpec, mod func(*sim.Config)) (sim.Result, RunSo
 	if computed {
 		r.progress(done, spec.label())
 	}
-	return res, src, resumedFrom
+	return res, info
 }
 
 // checkpointing reports whether the compute path should read and write
@@ -478,8 +488,8 @@ func (r *Runner) checkpointing() bool {
 // checkpointCycles enumerates the snapshot cycles worth probing for a
 // spec, deepest first: the periodic checkpoints strictly inside this run's
 // measurement window (possibly written by an earlier run with a shorter —
-// or longer — Measure; the prefix key is Measure-agnostic), then the
-// warmup boundary.
+// or longer — Measure, a shorter run's window-end snapshot among them; the
+// prefix key is Measure-agnostic), then the warmup boundary.
 func checkpointCycles(spec SimSpec, every int64) []int64 {
 	var cycles []int64
 	if every > 0 {
@@ -492,15 +502,16 @@ func checkpointCycles(spec SimSpec, every int64) []int64 {
 }
 
 // simulate runs one simulation, resuming from the deepest stored snapshot
-// of the spec's prefix when checkpointing is on. It returns the cycle the
-// run resumed from (0 for a cold run). Any unusable snapshot — corrupt,
-// version-mismatched, wrong shape — falls back to a shallower one and
-// finally to a cold run; the result is bit-identical regardless of entry
-// point, which the resume tests in internal/sim pin.
-func (r *Runner) simulate(spec SimSpec, cfg sim.Config) (sim.Result, int64, error) {
+// of the spec's prefix when checkpointing is on, and records in info the
+// cycle the run resumed from (0 for a cold run). Any unusable snapshot —
+// corrupt, version-mismatched, wrong shape — is recorded in info.Rejected
+// and falls back to a shallower one and finally to a cold run; the result
+// is bit-identical regardless of entry point, which the resume tests in
+// internal/sim pin. A window-end checkpoint is written after simulate
+// returns (see deferCheckpoint).
+func (r *Runner) simulate(spec SimSpec, cfg sim.Config, info *RunInfo) (sim.Result, error) {
 	if !r.checkpointing() {
-		res, err := sim.Run(cfg)
-		return res, 0, err
+		return sim.Run(cfg)
 	}
 	every := r.opts.CheckpointEvery
 	sink := func(cycle int64, data []byte) {
@@ -526,22 +537,50 @@ func (r *Runner) simulate(spec SimSpec, cfg sim.Config) (sim.Result, int64, erro
 		if !ok {
 			continue
 		}
-		res, err := sim.ResumeRun(cfg, data, every, sink)
+		res, tail, err := sim.ResumeRun(cfg, data, every, sink)
 		if errors.Is(err, sim.ErrInterrupted) {
-			return sim.Result{}, cycle, err
+			return sim.Result{}, err
 		}
 		if err != nil {
 			// Unusable snapshot (stale layout, corruption the container
 			// caught, a shape mismatch): try a shallower entry point.
+			r.ckptRejected.Add(1)
+			info.Rejected = append(info.Rejected, fmt.Errorf("snapshot at cycle %d: %w", cycle, err))
 			continue
 		}
 		r.ckptRestored.Add(1)
 		r.ckptRestoredBytes.Add(int64(len(data)))
-		return res, cycle, nil
+		info.ResumedFrom = cycle
+		r.deferCheckpoint(tail)
+		return res, nil
 	}
-	res, err := sim.RunWithCheckpoints(cfg, every, sink)
-	return res, 0, err
+	res, tail, err := sim.RunWithCheckpoints(cfg, every, sink)
+	r.deferCheckpoint(tail)
+	return res, err
 }
+
+// deferCheckpoint runs a simulation's deferred window-end checkpoint write
+// (see sim.RunWithCheckpoints) on a goroutine of its own, so serializing
+// and storing the snapshot stays off the path that returns the Result.
+// There is one per finished simulation, holding its finished machine for
+// as long as one snapshot write takes. WaitCheckpoints waits for them.
+func (r *Runner) deferCheckpoint(tail func()) {
+	if tail == nil {
+		return
+	}
+	r.ckptPending.Add(1)
+	go func() {
+		defer r.ckptPending.Done()
+		tail()
+	}()
+}
+
+// WaitCheckpoints blocks until the deferred checkpoint write of every
+// simulation that has returned is done: its snapshot is in the store (or
+// counted in StoreErrs) and handed to the publish hook. Call it when no
+// simulation is running and before the store's directory goes away;
+// serve.Server.Drain does.
+func (r *Runner) WaitCheckpoints() { r.ckptPending.Wait() }
 
 // ephemeral reports whether completed results should be dropped from RAM
 // (EphemeralResults is meaningful only with a durable store behind it).
@@ -570,7 +609,7 @@ func (r *Runner) RunAll(specs []SimSpec) (res Results, ok bool) {
 	}
 	out := make([]sim.Result, len(specs))
 	r.forEach(len(specs), func(i int) {
-		out[i], _, _ = r.runSpec(specs[i], mods[i])
+		out[i], _ = r.runSpec(specs[i], mods[i])
 	})
 	if r.Interrupted() {
 		return nil, false
@@ -674,6 +713,10 @@ func (r *Runner) CheckpointsRestored() int64 { return r.ckptRestored.Load() }
 
 // CheckpointBytesRestored returns the total snapshot bytes restored.
 func (r *Runner) CheckpointBytesRestored() int64 { return r.ckptRestoredBytes.Load() }
+
+// CheckpointsRejected returns how many stored snapshots a simulation found
+// but could not resume from (each fell back to a shallower entry point).
+func (r *Runner) CheckpointsRejected() int64 { return r.ckptRejected.Load() }
 
 // Interrupt makes the runner stop starting new simulations: worker pools
 // drain after their current task, so every completed result has already

@@ -10,6 +10,7 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -486,5 +487,58 @@ func TestParseChaosDiskFail(t *testing.T) {
 		if fw() == nil {
 			t.Fatal("diskfail=1.0 let a write through")
 		}
+	}
+}
+
+// TestDrainWaitsForWindowEndCheckpoints: a cold sim's window-end snapshot
+// is written after its reply, so Drain must wait for it. With the interval
+// equal to Measure every cold sim writes two snapshots, the warmup
+// boundary and the window end; once Drain returns all of them are store
+// entries.
+func TestDrainWaitsForWindowEndCheckpoints(t *testing.T) {
+	opts := tinyOpts()
+	opts.Checkpoints = true
+	opts.CheckpointEvery = opts.Measure
+	s := newService(t, opts, Config{Workers: 2}, nil)
+
+	mechs := []string{"REFab", "REFpb", "DARP", "SARPpb", "DSARP"}
+	status := make([]int, len(mechs))
+	var wg sync.WaitGroup
+	for i, mech := range mechs {
+		spec := tinySpec("drain-ckpt")
+		spec.Mechanism = mech
+		body, err := json.Marshal(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			resp, err := http.Post(s.ts.URL+"/v1/sim", "application/json", bytes.NewReader(body))
+			if err != nil {
+				return
+			}
+			resp.Body.Close()
+			status[i] = resp.StatusCode
+		}()
+	}
+	wg.Wait()
+	for i, code := range status {
+		if code != http.StatusOK {
+			t.Fatalf("%s sim: status %d", mechs[i], code)
+		}
+	}
+
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	if err := s.Drain(ctx); err != nil {
+		t.Fatal(err)
+	}
+	written := s.runner.CheckpointsWritten()
+	if want := int64(2 * len(mechs)); written != want {
+		t.Errorf("CheckpointsWritten = %d, want %d", written, want)
+	}
+	if n := s.store.Stats().SnapshotEntries; int64(n) != written {
+		t.Errorf("store holds %d snapshot entries after Drain, runner wrote %d", n, written)
 	}
 }

@@ -103,6 +103,10 @@ func (s *Server) registerMetrics(reg *telemetry.Registry, chaos *Chaos) *serverM
 		"Snapshot bytes restored into resumed simulations.", func() float64 {
 			return float64(s.runner.CheckpointBytesRestored())
 		})
+	reg.CounterFunc("dsarp_checkpoints_rejected_total",
+		"Stored snapshots found unusable; each fell back to a shallower entry point.", func() float64 {
+			return float64(s.runner.CheckpointsRejected())
+		})
 
 	if st := s.runner.Options().Store; st != nil {
 		reg.GaugeFunc("dsarp_store_entries", "Entries held by the local store (all kinds).", func() float64 {

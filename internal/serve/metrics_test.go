@@ -3,11 +3,14 @@ package serve
 import (
 	"bytes"
 	"encoding/json"
+	"log/slog"
 	"net/http"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 
+	"dsarp/internal/store"
 	"dsarp/internal/telemetry"
 )
 
@@ -48,6 +51,7 @@ func TestMetricsEndpoint(t *testing.T) {
 		"dsarp_degraded 0",
 		"dsarp_sse_subscribers 0",
 		"dsarp_store_entries 0",
+		"dsarp_checkpoints_rejected_total 0",
 	} {
 		if !strings.Contains(string(body), series+"\n") {
 			t.Errorf("cold exposition missing %q", series)
@@ -145,5 +149,75 @@ func TestServeTraceSpan(t *testing.T) {
 	if sp.Trace != "feedbeeffeedbeef" || sp.Kind != telemetry.SpanServe ||
 		sp.Status != "ok" || sp.Source != "computed" || sp.Spec == "" {
 		t.Errorf("serve span = %+v", sp)
+	}
+}
+
+// lockedBuffer is a log sink safe to read while the server writes to it.
+type lockedBuffer struct {
+	mu  sync.Mutex
+	buf bytes.Buffer
+}
+
+func (b *lockedBuffer) Write(p []byte) (int, error) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.buf.Write(p)
+}
+
+func (b *lockedBuffer) String() string {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.buf.String()
+}
+
+// TestCheckpointRejectedCountedAndLogged: an extension whose window-end
+// snapshot is corrupt falls back to the warmup boundary, and the skipped
+// snapshot shows on /metrics and as a warn-level log record.
+func TestCheckpointRejectedCountedAndLogged(t *testing.T) {
+	opts := tinyOpts()
+	opts.Checkpoints = true
+	opts.CheckpointEvery = opts.Measure
+	var logs lockedBuffer
+	log := slog.New(slog.NewTextHandler(&logs, &slog.HandlerOptions{Level: slog.LevelWarn}))
+	s := newService(t, opts, Config{Workers: 2, Log: log}, nil)
+
+	spec, err := s.runner.PrepareSpec(tinySpec("rejected"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp, body := s.post(t, "/v1/sim", spec); resp.StatusCode != http.StatusOK {
+		t.Fatalf("sim: %d %s", resp.StatusCode, body)
+	}
+	s.runner.WaitCheckpoints()
+	pkey := spec.PrefixKey(spec.Warmup + spec.Measure)
+	data, ok := s.store.GetKind(pkey, store.KindSnapshot)
+	if !ok {
+		t.Fatal("window-end snapshot missing")
+	}
+	bad := append([]byte(nil), data...)
+	bad[len(bad)-1] ^= 0x01
+	if err := s.store.PutKind(pkey, store.KindSnapshot, bad); err != nil {
+		t.Fatal(err)
+	}
+
+	ext := spec
+	ext.Measure += 4_000
+	resp, body := s.post(t, "/v1/sim", ext)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("extended sim: %d %s", resp.StatusCode, body)
+	}
+	var sr simResponse
+	if err := json.Unmarshal(body, &sr); err != nil {
+		t.Fatal(err)
+	}
+	if sr.ResumedFrom != spec.Warmup {
+		t.Errorf("resumed_from = %d, want the warmup boundary %d", sr.ResumedFrom, spec.Warmup)
+	}
+	_, body = s.get(t, "/metrics")
+	if got := metricValue(t, string(body), "dsarp_checkpoints_rejected_total"); got != "1" {
+		t.Errorf("rejected counter = %s, want 1", got)
+	}
+	if out := logs.String(); !strings.Contains(out, "level=WARN msg=\"checkpoint rejected\"") {
+		t.Errorf("no warn record for the rejected snapshot in:\n%s", out)
 	}
 }

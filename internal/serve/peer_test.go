@@ -340,7 +340,7 @@ func TestResultGetSurvivesDegradedStore(t *testing.T) {
 // instead of cold-starting. Worker a computes with checkpoints on;
 // worker b, with an empty store and a as its only ring sibling, is asked
 // a longer-measure variant of the same spec and must resume from a's
-// deepest snapshot.
+// deepest snapshot, the one at a's window end.
 func TestCheckpointTravelsToPeer(t *testing.T) {
 	opts := tinyOpts()
 	opts.Checkpoints = true
@@ -351,6 +351,8 @@ func TestCheckpointTravelsToPeer(t *testing.T) {
 	if resp, body := a.post(t, "/v1/sim", spec); resp.StatusCode != http.StatusOK {
 		t.Fatalf("sim on a: %d %s", resp.StatusCode, body)
 	}
+	// a's window-end snapshot lands after its reply.
+	a.runner.WaitCheckpoints()
 	if a.runner.CheckpointsWritten() == 0 {
 		t.Fatal("a wrote no snapshots")
 	}
@@ -381,8 +383,9 @@ func TestCheckpointTravelsToPeer(t *testing.T) {
 	if sr.Source != "computed" {
 		t.Fatalf("source = %q, want computed (a holds no result for the extended window)", sr.Source)
 	}
-	// a's snapshots cover the shared prefix up to its own measure end.
-	deepest := opts.Warmup + 3*opts.CheckpointEvery
+	// a's snapshots cover the shared prefix up to its own measure end,
+	// Warmup + 4*every.
+	deepest := opts.Warmup + opts.Measure
 	if sr.ResumedFrom != deepest {
 		t.Errorf("resumed_from = %d, want a's deepest snapshot %d", sr.ResumedFrom, deepest)
 	}

@@ -264,6 +264,9 @@ func (s *Server) worker() {
 		res, info, err := s.runner.RunSpecInfo(t.spec)
 		src := info.Source
 		dur := time.Since(start)
+		for _, rej := range info.Rejected {
+			s.log.Warn("checkpoint rejected", "spec", t.spec.Key().String(), "err", rej)
+		}
 		if err == nil {
 			s.metrics.simSeconds.With(src.String()).Observe(dur.Seconds())
 			if info.ResumedFrom > 0 {
@@ -356,9 +359,10 @@ var (
 
 // Drain stops the service gracefully: new submissions are refused with
 // 503, every queued or running task finishes (its result reaching the
-// store and any SSE subscribers), then the workers exit. Status and
-// results endpoints keep answering throughout. Returns ctx.Err() if the
-// deadline expires first; the workers then finish in the background.
+// store and any SSE subscribers), then the workers exit and the runner's
+// deferred checkpoint writes land. Status and results endpoints keep
+// answering throughout. Returns ctx.Err() if the deadline expires first;
+// the workers then finish in the background.
 func (s *Server) Drain(ctx context.Context) error {
 	s.mu.Lock()
 	already := s.draining
@@ -372,6 +376,9 @@ func (s *Server) Drain(ctx context.Context) error {
 			close(s.queue)
 		}
 		s.workers.Wait()
+		// No simulation is running any more; the window-end snapshots of
+		// the finished ones are still being written (and published).
+		s.runner.WaitCheckpoints()
 		if s.peer != nil {
 			// Let in-flight replica pushes land (or exhaust their retries)
 			// so a drained worker leaves the tier fully repaired.

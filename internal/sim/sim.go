@@ -214,18 +214,18 @@ type System struct {
 	// SteppedCycles accounting is part of the bit-exactness contract.
 	loopSat   int  // consecutive-stepped saturation counter
 	loopBlind int  // plain Steps remaining in the current blind window
-	keepLoop  bool // one-shot: next RunTo keeps loopSat/loopBlind (set by restore)
+	keepLoop  bool // one-shot: next RunTo keeps loopSat/loopBlind/landing (set by restore)
 	// landing is true while a skip's landing step is pending: set around
-	// the checkpoint taken on the cycle a skip landed on, so a run resumed
+	// the checkpoint taken on the cycle a skip landed on, and left set when
+	// a skip lands on an event at exactly RunTo's end, so a run resumed
 	// from that snapshot takes the same uncounted landing step first.
 	landing bool
 
 	// Checkpoint schedule, armed by RunWithCheckpoints/ResumeRun: a snapshot
 	// is captured whenever the clock reaches ckptNext.
-	ckptEvery  int64
-	ckptNext   int64
-	ckptSink   Checkpointer
-	measureEnd int64
+	ckptEvery int64
+	ckptNext  int64
+	ckptSink  Checkpointer
 
 	// Measurement baseline (beginMeasure). Carried in snapshots so a resumed
 	// run windows its Result identically to the cold run.
@@ -492,15 +492,17 @@ func (s *System) stopped() bool {
 
 // RunTo advances the system to cycle end under the configured engine,
 // returning early (with s.now < end) if Config.Stop flips true. The
-// saturation state lives on the System (loopSat/loopBlind): it is zeroed
-// on entry — matching the old per-call locals — unless a snapshot restore
-// armed keepLoop, in which case the restored values carry the interrupted
-// run's engine position forward, including a pending landing step.
+// engine state lives on the System (loopSat/loopBlind/landing): it is
+// zeroed on entry unless a snapshot restore armed keepLoop, in which case
+// the restored values carry the interrupted run's engine position
+// forward, including a pending landing step. Where a run stops does not
+// change its decisions on the way there, so a snapshot taken at end
+// continues exactly like a run that was never stopped.
 func (s *System) RunTo(end int64) {
 	if s.keepLoop {
 		s.keepLoop = false
 	} else {
-		s.loopSat, s.loopBlind = 0, 0
+		s.loopSat, s.loopBlind, s.landing = 0, 0, false
 	}
 	landing := s.landing
 	s.landing = false
@@ -542,21 +544,28 @@ func (s *System) RunTo(end int64) {
 			}
 			continue
 		}
-		if t := s.NextEvent(end); t > s.now {
-			// The saturation reset is decided on the full skip length BEFORE
-			// skipTo splits it at checkpoint boundaries: a checkpointed run
-			// and its plain twin must make identical saturation decisions.
+		// The probe looks worthwhileSkip cycles past end, so the saturation
+		// reset is decided on the skip's full length, not on the part of it
+		// before end: a run that stops at end and one that goes on make the
+		// same decision. It is decided BEFORE skipTo splits the skip at
+		// checkpoint boundaries for the same reason.
+		if t := s.NextEvent(end + worthwhileSkip); t > s.now {
 			if t-s.now >= worthwhileSkip {
 				s.loopSat = 0
 			}
-			s.skipTo(t)
-			if s.now < end {
+			s.skipTo(min(t, end))
+			switch {
+			case t < end:
 				// The skip landed on the window's bounding event; step it
 				// without paying for a scan that would just confirm it.
 				s.landing = true
 				s.maybeCheckpoint()
 				s.landing = false
 				s.stepSelective()
+			case t == end:
+				// It landed on an event at end: leave the landing step to
+				// whatever continues this machine.
+				s.landing = true
 			}
 			continue
 		}
@@ -587,9 +596,6 @@ func (s *System) maybeCheckpoint() {
 	}
 	s.ckptSink(s.now, s.Snapshot())
 	s.ckptNext += s.ckptEvery
-	if s.ckptNext >= s.measureEnd {
-		s.ckptSink = nil
-	}
 }
 
 // skipTo is SkipTo with checkpoint-boundary splitting: a skip that would
@@ -708,7 +714,8 @@ func (s *System) result() Result {
 // Config.Stop flips true before the measurement window completes, Run
 // returns ErrInterrupted and no Result.
 func Run(cfg Config) (Result, error) {
-	return RunWithCheckpoints(cfg, 0, nil)
+	res, _, err := RunWithCheckpoints(cfg, 0, nil)
+	return res, err
 }
 
 // Checkpointer receives snapshots as a run crosses checkpoint boundaries.
@@ -718,68 +725,84 @@ type Checkpointer func(cycle int64, data []byte)
 
 // RunWithCheckpoints is Run with resumable checkpoints: after a cold
 // warmup it hands sink the warmup-boundary snapshot, then — if every > 0 —
-// further snapshots at cycles Warmup + k*every strictly inside the
-// measurement window. A checkpointed run's Result is bit-identical to the
-// plain run's, SteppedCycles included. Configurations whose state cannot
+// further snapshots at cycles Warmup + k*every inside the measurement
+// window, its last cycle included, so a longer-Measure run of the same
+// config can resume where this one ended. The window-end snapshot is not
+// taken on the caller's path: it comes back as tail, a deferred step that
+// hands it to sink. The machine is never touched again once its Result
+// exists, so tail may run on any goroutine, after the Result is used;
+// tail is nil when the last cycle is off the grid (every does not divide
+// Measure). A checkpointed run's Result is bit-identical to the plain
+// run's, SteppedCycles included. Configurations whose state cannot
 // serialize (protocol checker attached, non-serializable custom policy)
 // silently run without checkpoints.
-func RunWithCheckpoints(cfg Config, every int64, sink Checkpointer) (Result, error) {
+func RunWithCheckpoints(cfg Config, every int64, sink Checkpointer) (res Result, tail func(), err error) {
 	cfg = cfg.WithDefaults()
 	s, err := NewSystem(cfg)
 	if err != nil {
-		return Result{}, err
+		return Result{}, nil, err
 	}
 	s.RunTo(cfg.Warmup)
 	if s.now < cfg.Warmup {
-		return Result{}, ErrInterrupted
+		return Result{}, nil, ErrInterrupted
 	}
 	s.beginMeasure()
 	if sink != nil && s.CanSnapshot() {
-		// The warmup-boundary snapshot. Saturation state is zeroed exactly
-		// as the measurement RunTo below zeroes it on entry, so a run
-		// resumed from this snapshot replays the same engine decisions.
-		s.loopSat, s.loopBlind = 0, 0
+		// The warmup-boundary snapshot. Engine state is zeroed exactly as
+		// the measurement RunTo below zeroes it on entry, so a run resumed
+		// from this snapshot replays the same engine decisions.
+		s.loopSat, s.loopBlind, s.landing = 0, 0, false
 		sink(s.now, s.Snapshot())
 		s.armCheckpoints(every, sink)
 	}
-	s.RunTo(cfg.Warmup + cfg.Measure)
-	if s.now < cfg.Warmup+cfg.Measure {
-		return Result{}, ErrInterrupted
-	}
-	return s.result(), nil
+	return s.finish()
 }
 
 // ResumeRun continues a run from a snapshot taken by a checkpointed run of
 // a config identical up to Measure (the snapshot is agnostic to the
-// measurement length, enabling measure-extension reuse). The resumed run's
-// Result is bit-identical to an uninterrupted run's. every/sink arm
-// further checkpoints exactly as RunWithCheckpoints would.
-func ResumeRun(cfg Config, data []byte, every int64, sink Checkpointer) (Result, error) {
+// measurement length, enabling measure-extension reuse): one at any cycle
+// of this config's measurement window, its last cycle included. The
+// resumed run's Result is bit-identical to an uninterrupted run's.
+// every/sink arm further checkpoints, and tail is returned, exactly as
+// RunWithCheckpoints would.
+func ResumeRun(cfg Config, data []byte, every int64, sink Checkpointer) (res Result, tail func(), err error) {
 	cfg = cfg.WithDefaults()
 	s, err := RestoreSystem(cfg, data)
 	if err != nil {
-		return Result{}, err
+		return Result{}, nil, err
 	}
 	end := cfg.Warmup + cfg.Measure
-	if !s.inMeasure || s.now < cfg.Warmup || s.now >= end {
-		return Result{}, fmt.Errorf("sim: snapshot at cycle %d outside measurement window [%d, %d)",
+	if !s.inMeasure || s.now < cfg.Warmup || s.now > end {
+		return Result{}, nil, fmt.Errorf("sim: snapshot at cycle %d outside measurement window [%d, %d]",
 			s.now, cfg.Warmup, end)
 	}
 	if sink != nil && s.CanSnapshot() {
 		s.armCheckpoints(every, sink)
 	}
+	return s.finish()
+}
+
+// finish runs the measurement window to its end and returns the Result
+// and, when a checkpoint is scheduled on the window's last cycle, the
+// deferred step that snapshots the finished machine into the sink.
+func (s *System) finish() (Result, func(), error) {
+	end := s.cfg.Warmup + s.cfg.Measure
 	s.RunTo(end)
 	if s.now < end {
-		return Result{}, ErrInterrupted
+		return Result{}, nil, ErrInterrupted
 	}
-	return s.result(), nil
+	res := s.result()
+	if s.ckptSink == nil || s.ckptNext != end {
+		return res, nil, nil
+	}
+	return res, func() { s.ckptSink(end, s.Snapshot()) }, nil
 }
 
 // armCheckpoints schedules periodic snapshots at cycles Warmup + k*every
-// for k >= 1, strictly inside the measurement window, starting after the
-// current clock. The schedule is identical whether armed at the warmup
-// boundary or on resume from any checkpoint, so cold and resumed runs
-// write the same snapshot set.
+// for k >= 1 up to the window's last cycle, starting after the current
+// clock. The schedule is identical whether armed at the warmup boundary
+// or on resume from any checkpoint, so cold and resumed runs write the
+// same snapshot set.
 func (s *System) armCheckpoints(every int64, sink Checkpointer) {
 	if sink == nil || every <= 0 {
 		return
@@ -787,8 +810,8 @@ func (s *System) armCheckpoints(every int64, sink Checkpointer) {
 	end := s.cfg.Warmup + s.cfg.Measure
 	k := (s.now-s.cfg.Warmup)/every + 1
 	next := s.cfg.Warmup + k*every
-	if next >= end {
+	if next > end {
 		return
 	}
-	s.ckptEvery, s.ckptNext, s.ckptSink, s.measureEnd = every, next, sink, end
+	s.ckptEvery, s.ckptNext, s.ckptSink = every, next, sink
 }

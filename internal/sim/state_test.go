@@ -26,12 +26,15 @@ func runCheckpointed(t *testing.T, name string, cfg Config, every int64) (Result
 	}
 	var cycles []int64
 	var snaps [][]byte
-	ck, err := RunWithCheckpoints(cfg, every, func(cycle int64, data []byte) {
+	ck, tail, err := RunWithCheckpoints(cfg, every, func(cycle int64, data []byte) {
 		cycles = append(cycles, cycle)
 		snaps = append(snaps, data)
 	})
 	if err != nil {
 		t.Fatalf("%s: checkpointed run: %v", name, err)
+	}
+	if tail != nil {
+		tail()
 	}
 	if !reflect.DeepEqual(plain, ck) {
 		t.Errorf("%s: checkpointing perturbed the run:\n plain: %+v\n ckpt:  %+v", name, plain, ck)
@@ -51,7 +54,7 @@ func runCheckpointed(t *testing.T, name string, cfg Config, every int64) (Result
 func resumeAll(t *testing.T, name string, cfg Config, want Result, cycles []int64, snaps [][]byte) {
 	t.Helper()
 	for i, data := range snaps {
-		got, err := ResumeRun(cfg, data, 0, nil)
+		got, _, err := ResumeRun(cfg, data, 0, nil)
 		if err != nil {
 			t.Fatalf("%s: resume from cycle %d: %v", name, cycles[i], err)
 		}
@@ -198,13 +201,13 @@ func TestResumeCrossEngine(t *testing.T) {
 				t.Fatalf("cold %v run: %v", dir.to, err)
 			}
 			var snaps [][]byte
-			if _, err := RunWithCheckpoints(cfgFrom, 8_000, func(_ int64, d []byte) {
+			if _, _, err := RunWithCheckpoints(cfgFrom, 8_000, func(_ int64, d []byte) {
 				snaps = append(snaps, d)
 			}); err != nil {
 				t.Fatalf("checkpointed %v run: %v", dir.from, err)
 			}
 			for i, data := range snaps {
-				got, err := ResumeRun(cfgTo, data, 0, nil)
+				got, _, err := ResumeRun(cfgTo, data, 0, nil)
 				if err != nil {
 					t.Fatalf("resume %d: %v", i, err)
 				}
@@ -231,7 +234,7 @@ func TestResumeMeasureExtension(t *testing.T) {
 		Measure:   10_000,
 	}
 	var boundary []byte
-	if _, err := RunWithCheckpoints(cfg, 0, func(cycle int64, d []byte) {
+	if _, _, err := RunWithCheckpoints(cfg, 0, func(cycle int64, d []byte) {
 		if cycle == cfg.Warmup {
 			boundary = d
 		}
@@ -244,12 +247,92 @@ func TestResumeMeasureExtension(t *testing.T) {
 	if err != nil {
 		t.Fatalf("cold long run: %v", err)
 	}
-	got, err := ResumeRun(long, boundary, 0, nil)
+	got, _, err := ResumeRun(long, boundary, 0, nil)
 	if err != nil {
 		t.Fatalf("extended resume: %v", err)
 	}
 	if !reflect.DeepEqual(want, got) {
 		t.Errorf("measure extension diverged:\n cold:    %+v\n resumed: %+v", want, got)
+	}
+}
+
+// TestResumeExtensionFromWindowEnd resumes a longer-Measure config from
+// the window-end snapshot of a shorter run with the same prefix and
+// requires the plain long run's Result, SteppedCycles included. The short
+// run stops at its window's end, so its engine state there must not
+// depend on the stop: a skip's saturation reset is probed past the end,
+// and a skip that lands on an event at exactly the end leaves its landing
+// step pending in the snapshot. Mixes: the service benchmark's five
+// category mixes plus two all-intensive ones; each shape's interval
+// divides the short Measure, so the window end is on the grid.
+func TestResumeExtensionFromWindowEnd(t *testing.T) {
+	if testing.Short() {
+		t.Skip("420-resume matrix")
+	}
+	mechs := []core.Kind{core.KindREFab, core.KindREFpb, core.KindDARP,
+		core.KindSARPpb, core.KindDSARP, core.KindNoRef}
+	shapes := []struct{ warmup, measure, extended, every int64 }{
+		{4_000, 16_000, 24_000, 16_000},
+		{4_000, 16_000, 24_000, 8_000},
+		{4_000, 15_000, 20_000, 5_000},
+		{4_000, 12_000, 30_000, 6_000},
+		{3_000, 9_000, 14_000, 3_000},
+	}
+	mixes := append(workload.Mixes(1, 8, 7), workload.IntensiveMixes(2, 8, 7)...)
+	for _, wl := range mixes {
+		for _, k := range mechs {
+			name := wl.Name + "/" + k.String()
+			t.Run(name, func(t *testing.T) {
+				t.Parallel()
+				for _, eng := range []Engine{EngineEvent, EngineCycle} {
+					for _, sh := range shapes {
+						short := Config{
+							Workload:  wl,
+							Mechanism: k,
+							Density:   timing.Gb32,
+							Engine:    eng,
+							Seed:      1,
+							Warmup:    sh.warmup,
+							Measure:   sh.measure,
+						}
+						long := short
+						long.Measure = sh.extended
+						label := fmt.Sprintf("%s %v warmup %d measure %d->%d every %d",
+							name, eng, sh.warmup, sh.measure, sh.extended, sh.every)
+						var endSnap []byte
+						_, tail, err := RunWithCheckpoints(short, sh.every, func(cycle int64, data []byte) {
+							if cycle == sh.warmup+sh.measure {
+								endSnap = data
+							}
+						})
+						if err != nil {
+							t.Fatalf("%s: short run: %v", label, err)
+						}
+						if tail == nil {
+							t.Fatalf("%s: no window-end checkpoint", label)
+						}
+						if endSnap != nil {
+							t.Fatalf("%s: window-end snapshot taken on the caller's path", label)
+						}
+						tail()
+						if endSnap == nil {
+							t.Fatalf("%s: tail wrote no window-end snapshot", label)
+						}
+						want, err := Run(long)
+						if err != nil {
+							t.Fatalf("%s: plain long run: %v", label, err)
+						}
+						got, _, err := ResumeRun(long, endSnap, 0, nil)
+						if err != nil {
+							t.Fatalf("%s: resume: %v", label, err)
+						}
+						if !reflect.DeepEqual(want, got) {
+							t.Errorf("%s: resumed extension diverged:\n plain:   %+v\n resumed: %+v", label, want, got)
+						}
+					}
+				}
+			})
+		}
 	}
 }
 
@@ -268,7 +351,7 @@ func TestResumeCheckpointChainEquality(t *testing.T) {
 	const every = 4_500
 	var coldCycles []int64
 	var coldSnaps [][]byte
-	if _, err := RunWithCheckpoints(cfg, every, func(c int64, d []byte) {
+	if _, _, err := RunWithCheckpoints(cfg, every, func(c int64, d []byte) {
 		coldCycles = append(coldCycles, c)
 		coldSnaps = append(coldSnaps, d)
 	}); err != nil {
@@ -279,7 +362,7 @@ func TestResumeCheckpointChainEquality(t *testing.T) {
 	}
 	var resCycles []int64
 	var resSnaps [][]byte
-	if _, err := ResumeRun(cfg, coldSnaps[1], every, func(c int64, d []byte) {
+	if _, _, err := ResumeRun(cfg, coldSnaps[1], every, func(c int64, d []byte) {
 		resCycles = append(resCycles, c)
 		resSnaps = append(resSnaps, d)
 	}); err != nil {
@@ -349,7 +432,7 @@ func TestRestoreRefusesMismatch(t *testing.T) {
 		Measure:   4_000,
 	}
 	var boundary []byte
-	if _, err := RunWithCheckpoints(cfg, 0, func(_ int64, d []byte) { boundary = d }); err != nil {
+	if _, _, err := RunWithCheckpoints(cfg, 0, func(_ int64, d []byte) { boundary = d }); err != nil {
 		t.Fatal(err)
 	}
 
@@ -414,10 +497,11 @@ func TestCanSnapshot(t *testing.T) {
 		Check:     true,
 	}
 	fired := false
-	if _, err := RunWithCheckpoints(cfg, 500, func(int64, []byte) { fired = true }); err != nil {
+	_, tail, err := RunWithCheckpoints(cfg, 500, func(int64, []byte) { fired = true })
+	if err != nil {
 		t.Fatal(err)
 	}
-	if fired {
+	if fired || tail != nil {
 		t.Error("checked run must not emit snapshots")
 	}
 }

@@ -27,6 +27,10 @@ const Version = "dsarp-snap-v2"
 // store result envelope or any other artifact.
 const magic = "DSNAP"
 
+// headerLen is the fixed size of a snapshot's header: magic, the
+// length-prefixed Version, the payload length, and the payload SHA-256.
+const headerLen = len(magic) + 8 + len(Version) + 8 + sha256.Size
+
 // Codec is implemented by every component whose mutable state round-trips
 // through a snapshot section.
 type Codec interface {
@@ -39,14 +43,14 @@ type Codec interface {
 // fixed-width little-endian so the layout is platform-independent and
 // byte-deterministic.
 type Writer struct {
-	buf     []byte
+	buf     []byte // the header's reserved space, then the payload
 	secName string
 	secOff  int // start of the current section's body length field
 }
 
 // NewWriter returns an empty snapshot writer.
 func NewWriter() *Writer {
-	return &Writer{}
+	return &Writer{buf: make([]byte, headerLen)}
 }
 
 // Section begins a new named section. The previous section, if any, is
@@ -99,18 +103,21 @@ func (w *Writer) Str(s string) {
 
 // Finish closes the last section and returns the full snapshot: a header
 // (magic, Version, payload length, payload SHA-256) followed by the
-// payload.
+// payload. The header fills the space NewWriter reserved, so the payload
+// is not copied.
 func (w *Writer) Finish() []byte {
 	w.closeSection()
-	payload := w.buf
+	payload := w.buf[headerLen:]
 	sum := sha256.Sum256(payload)
-	hdr := make([]byte, 0, len(magic)+8+len(Version)+8+32+len(payload))
-	hdr = append(hdr, magic...)
-	hdr = binary.LittleEndian.AppendUint64(hdr, uint64(len(Version)))
-	hdr = append(hdr, Version...)
-	hdr = binary.LittleEndian.AppendUint64(hdr, uint64(len(payload)))
-	hdr = append(hdr, sum[:]...)
-	return append(hdr, payload...)
+	hdr := w.buf[:headerLen]
+	n := copy(hdr, magic)
+	binary.LittleEndian.PutUint64(hdr[n:], uint64(len(Version)))
+	n += 8
+	n += copy(hdr[n:], Version)
+	binary.LittleEndian.PutUint64(hdr[n:], uint64(len(payload)))
+	n += 8
+	copy(hdr[n:], sum[:])
+	return w.buf
 }
 
 // ErrVersion reports a snapshot whose layout version does not match this

@@ -22,7 +22,6 @@ package store
 
 import (
 	"bufio"
-	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
@@ -129,11 +128,11 @@ type Stats struct {
 	SnapshotEntries int   `json:"snapshot_entries"`
 	SnapshotBytes   int64 `json:"snapshot_bytes"`
 	Hits            int64 `json:"hits"`
-	Misses    int64 `json:"misses"`
-	Puts      int64 `json:"puts"`
-	Corrupt   int64 `json:"corrupt"` // entries deleted because verification failed
-	Evicted   int64 `json:"evicted"` // entries removed by the byte cap
-	WriteErrs int64 `json:"write_errs"`
+	Misses          int64 `json:"misses"`
+	Puts            int64 `json:"puts"`
+	Corrupt         int64 `json:"corrupt"` // entries deleted because verification failed
+	Evicted         int64 `json:"evicted"` // entries removed by the byte cap
+	WriteErrs       int64 `json:"write_errs"`
 	// Expired/ExpiredBytes count the entries swept at Open because the
 	// store's manifest named an older schema generation than
 	// Options.Generation (their keys can never be addressed again).
@@ -163,16 +162,16 @@ type Store struct {
 	dir  string
 	opts Options
 
-	mu       sync.Mutex
-	entries  map[entryKey]*entry
-	bytes    int64
+	mu      sync.Mutex
+	entries map[entryKey]*entry
+	bytes   int64
 	// kindEntries/kindBytes split the totals by namespace for Stats and
 	// for the snapshot-first eviction order.
 	kindEntries [2]int
 	kindBytes   [2]int64
-	clock    int64
-	stats    Stats
-	degraded string // non-empty = read-only, value is the reason
+	clock       int64
+	stats       Stats
+	degraded    string // non-empty = read-only, value is the reason
 }
 
 // Open creates (if necessary) and indexes the store rooted at dir. With
@@ -466,10 +465,8 @@ func (s *Store) PutKind(k Key, kind Kind, payload []byte) error {
 	}
 	s.mu.Unlock()
 
-	var buf bytes.Buffer
 	h := sha256.Sum256(payload)
-	fmt.Fprintf(&buf, "%s %s %d\n", magic, hex.EncodeToString(h[:]), len(payload))
-	buf.Write(payload)
+	header := fmt.Sprintf("%s %s %d\n", magic, hex.EncodeToString(h[:]), len(payload))
 
 	ek := entryKey{k, kind}
 	path := s.path(ek)
@@ -486,7 +483,13 @@ func (s *Store) PutKind(k Key, kind Kind, payload []byte) error {
 		if err != nil {
 			return err
 		}
-		if _, err := tmp.Write(buf.Bytes()); err != nil {
+		// The header line and the payload go to the file as they are:
+		// joining them first would copy the payload.
+		_, err = tmp.WriteString(header)
+		if err == nil {
+			_, err = tmp.Write(payload)
+		}
+		if err != nil {
 			tmp.Close()
 			os.Remove(tmp.Name())
 			return err
@@ -511,7 +514,7 @@ func (s *Store) PutKind(k Key, kind Kind, payload []byte) error {
 		}
 		return fmt.Errorf("store: %w", err)
 	}
-	size := int64(buf.Len())
+	size := int64(len(header) + len(payload))
 	if old, ok := s.entries[ek]; ok {
 		s.bytes -= old.size
 		s.kindEntries[kind]--

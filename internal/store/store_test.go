@@ -37,6 +37,15 @@ func TestPutGetRoundTrip(t *testing.T) {
 	if st.Entries != 1 || st.Hits != 1 || st.Misses != 1 || st.Puts != 1 {
 		t.Errorf("stats = %+v", st)
 	}
+	// The entry file is the header line followed by the payload, and the
+	// index books its whole size.
+	want := fmt.Sprintf("%s %s %d\n%s", magic, KeyOf(payload), len(payload), payload)
+	if raw, err := os.ReadFile(s.EntryPath(key)); err != nil || string(raw) != want {
+		t.Errorf("entry file = %q, %v; want %q", raw, err, want)
+	}
+	if st.Bytes != int64(len(want)) {
+		t.Errorf("stats book %d bytes, entry file has %d", st.Bytes, len(want))
+	}
 }
 
 func TestPersistsAcrossOpen(t *testing.T) {
