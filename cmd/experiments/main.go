@@ -5,11 +5,14 @@
 // Usage:
 //
 //	experiments [-list] [-run all|name[,name...]]
-//	            [-scale default|paper] [-percat N] [-measure N] [-seed N]
-//	            [-parallel N] [-store DIR] [-cpuprofile F] [-memprofile F] [-v]
+//	            [-scale default|paper] [-percat N] [-sensitivity N]
+//	            [-warmup N] [-measure N] [-seed N] [-engine event|cycle]
+//	            [-parallel N] [-store DIR] [-store-max-mb N] [-csv DIR]
+//	            [-cpuprofile F] [-memprofile F] [-v]
 //
 // -run selects experiments by registry name; the default runs everything
-// in registry order.
+// in registry order. An unknown name exits with status 2 before any
+// simulation starts.
 //
 // With -store, every completed simulation is persisted to a
 // content-addressed result store as it finishes, and consulted before
@@ -63,6 +66,12 @@ func mainImpl() int {
 		csvDir   = flag.String("csv", "", "also write each experiment's data series to this directory as CSV")
 	)
 	flag.Parse()
+
+	selected, err := selectExperiments(*run)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "%v; -list shows the registry\n", err)
+		return 2
+	}
 
 	opts := exp.Defaults()
 	if *scale == "paper" {
@@ -162,17 +171,7 @@ func mainImpl() int {
 		os.Exit(130)
 	}()
 
-	selected := map[string]bool{}
-	for _, name := range strings.Split(*run, ",") {
-		selected[strings.TrimSpace(strings.ToLower(name))] = true
-	}
-	all := selected["all"]
-
-	ran := 0
-	for _, e := range exp.Experiments() {
-		if !all && !selected[e.Name] {
-			continue
-		}
+	for _, e := range selected {
 		start := time.Now()
 		res, err := r.RunExperiment(e.Name)
 		if err != nil {
@@ -198,13 +197,30 @@ func mainImpl() int {
 		if *verbose {
 			fmt.Fprintf(os.Stderr, "%s took %v\n", e.Name, time.Since(start).Round(time.Millisecond))
 		}
-		ran++
-	}
-	if ran == 0 {
-		fmt.Fprintf(os.Stderr, "no experiment matched %q; -list shows the registry\n", *run)
-		return 2
 	}
 	return 0
+}
+
+// selectExperiments resolves a -run list (comma-separated, case- and
+// space-insensitive) to registry entries in registry order; "all" selects
+// every entry. The first name that is neither "all" nor in the registry is
+// an error naming it.
+func selectExperiments(run string) ([]exp.Experiment, error) {
+	selected := map[string]bool{}
+	for _, name := range strings.Split(run, ",") {
+		name = strings.TrimSpace(strings.ToLower(name))
+		if _, ok := exp.LookupExperiment(name); !ok && name != "all" {
+			return nil, fmt.Errorf("unknown experiment %q in -run %q", name, run)
+		}
+		selected[name] = true
+	}
+	var out []exp.Experiment
+	for _, e := range exp.Experiments() {
+		if selected["all"] || selected[e.Name] {
+			out = append(out, e)
+		}
+	}
+	return out, nil
 }
 
 // listExperiments prints the registry: names, titles, spec counts, and —
@@ -216,7 +232,7 @@ func listExperiments(r *exp.Runner) {
 		specs := e.Specs(r)
 		line := fmt.Sprintf("%-10s %4d specs", e.Name, len(specs))
 		if st != nil {
-			warm := exp.WarmCount(st, specs)
+			warm := r.WarmCount(specs)
 			pct := 0.0
 			if len(specs) > 0 {
 				pct = 100 * float64(warm) / float64(len(specs))

@@ -22,38 +22,10 @@ type AblationRow struct {
 // intensive workloads.
 type AblationResult struct{ Rows []AblationRow }
 
-// ablationCase is one (mechanism, variant) cell the ablation table draws
-// from. The variant strings resolve through the variant registry
-// (VariantMod), so the same runs are reachable from the HTTP fleet.
-type ablationCase struct {
-	kind    core.Kind
-	variant string
-}
-
-func ablationCases() []ablationCase {
-	return []ablationCase{
-		{core.KindDARP, ""},
-		{core.KindDARP, "flex16"},
-		{core.KindDARP, "randpick"},
-		{core.KindDSARP, ""},
-		{core.KindDSARP, "nothrottle"},
-		{core.KindDSARP, "openrow"},
-		{core.KindDARP, "greedy"},
-	}
-}
-
-func ablationSpecs(r *Runner) []SimSpec {
-	l := newSpecList()
-	d := timing.Gb32
-	for _, c := range ablationCases() {
-		for _, wl := range r.sensitive {
-			l.addWS(r, wl, c.kind, d, c.variant)
-		}
-	}
-	return l.list()
-}
-
-func assembleAblations(r *Runner, res Results) AblationResult {
+// assembleAblations compares each design choice with its variant. The
+// variant strings resolve through the variant registry (VariantMod), so
+// the same runs are reachable from the HTTP fleet.
+func assembleAblations(r *Runner, res lookup) AblationResult {
 	d := timing.Gb32
 	var out AblationResult
 

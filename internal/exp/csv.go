@@ -110,14 +110,10 @@ func (f Fig14Result) CSV() ([]string, [][]string) {
 	return kindSeriesCSV(f.Densities, Fig14Mechanisms(), f.EPA, "epa_nj")
 }
 
-// CSV implements CSVWritable for the FGR comparison (Fig. 16).
-func (f Fig16Result) CSV() ([]string, [][]string) {
-	return kindSeriesCSV(f.Densities, Fig16Mechanisms(), f.Norm, "norm_ws")
-}
-
-// CSV implements CSVWritable for the pausing extension.
-func (p PausingResult) CSV() ([]string, [][]string) {
-	return kindSeriesCSV(p.Densities, PausingMechanisms(), p.Norm, "norm_ws")
+// CSV implements CSVWritable for normalized WS (Fig. 16, the pausing
+// extension).
+func (f NormWSResult) CSV() ([]string, [][]string) {
+	return kindSeriesCSV(f.Densities, f.Mechanisms, f.Norm, "norm_ws")
 }
 
 func kindSeriesCSV[D fmt.Stringer](densities []D, kinds []core.Kind, series map[core.Kind][]float64, unit string) ([]string, [][]string) {

@@ -1,12 +1,14 @@
 // Package exp regenerates every table and figure of the paper's evaluation
 // (§3 and §6) plus the design-choice ablations. Each experiment is a
-// registry entry (Experiments, LookupExperiment) with two pure halves:
-// Specs enumerates the simulations it needs as fully-resolved SimSpecs,
-// and Assemble renders the table from a Results map — so any execution
-// strategy fits between them (Runner.RunExperiment's local pool, the HTTP
-// sweep machinery, or a fleet of dsarpd workers). Results of individual
-// simulations are cached and shared across experiments so e.g. Fig. 12,
-// Fig. 13 and Table 2 reuse the same runs.
+// registry entry (Experiments, LookupExperiment) defined by one pure
+// assembly function that reads simulation results through a lookup.
+// Specs runs it against a recorder to enumerate the simulations it needs
+// as fully-resolved SimSpecs, and Assemble runs it against a Results map
+// to render the table — so any execution strategy fits between them
+// (Runner.RunExperiment's local pool, the HTTP sweep machinery, or a fleet
+// of dsarpd workers). Results of individual simulations are cached and
+// shared across experiments so e.g. Fig. 12, Fig. 13 and Table 2 reuse the
+// same runs.
 //
 // Scale is controlled by Options: the defaults are laptop-scale; Paper()
 // restores the paper's 100-workload setup with long measurement windows.

@@ -11,22 +11,19 @@ import (
 	"dsarp/internal/workload"
 )
 
-// Like tables.go, every figure here is registered declaratively: a specs
-// enumeration and a pure assembly from a Results map.
+// Like tables.go, every figure here is one assemble function reading
+// results through a lookup; the registry derives its spec list from it.
 
 // --- Fig. 5: refresh latency trend ---
 
 // Fig5Result is the tRFCab scaling trend (paper Fig. 5).
 type Fig5Result struct{ Points []timing.TrendPoint }
 
-// fig5Specs is empty: the trend is analytic, no simulation backs it. The
-// registry still carries it so every published artifact has one uniform
-// enumerate→assemble shape (a fleet run of fig5 is a zero-spec job).
-func fig5Specs(*Runner) []SimSpec { return nil }
-
 // assembleFig5 regenerates the refresh latency trend: two linear
-// projections of tRFCab versus chip density.
-func assembleFig5(*Runner, Results) Fig5Result { return Fig5Result{Points: timing.TRFCTrend()} }
+// projections of tRFCab versus chip density. The trend is analytic and
+// reads no results, so fig5 enumerates zero specs (a fleet run of fig5 is
+// a zero-spec job).
+func assembleFig5(*Runner, lookup) Fig5Result { return Fig5Result{Points: timing.TRFCTrend()} }
 
 func (f Fig5Result) String() string {
 	var b strings.Builder
@@ -52,18 +49,7 @@ type Fig6Result struct {
 	Rows       []LossRow
 }
 
-func fig6Specs(r *Runner) []SimSpec {
-	l := newSpecList()
-	for _, d := range r.opts.Densities {
-		for _, wl := range r.mixes {
-			l.addWS(r, wl, core.KindREFab, d, "")
-			l.addWS(r, wl, core.KindNoRef, d, "")
-		}
-	}
-	return l.list()
-}
-
-func assembleFig6(r *Runner, res Results) Fig6Result {
+func assembleFig6(r *Runner, res lookup) Fig6Result {
 	out := Fig6Result{Categories: workload.Categories()}
 	for _, d := range r.opts.Densities {
 		ratio := make([]float64, len(r.mixes))
@@ -115,19 +101,7 @@ type Fig7Result struct {
 	LossPB    []float64
 }
 
-func fig7Specs(r *Runner) []SimSpec {
-	l := newSpecList()
-	for _, d := range r.opts.Densities {
-		for _, wl := range r.mixes {
-			l.addWS(r, wl, core.KindNoRef, d, "")
-			l.addWS(r, wl, core.KindREFab, d, "")
-			l.addWS(r, wl, core.KindREFpb, d, "")
-		}
-	}
-	return l.list()
-}
-
-func assembleFig7(r *Runner, res Results) Fig7Result {
+func assembleFig7(r *Runner, res lookup) Fig7Result {
 	out := Fig7Result{Densities: r.opts.Densities}
 	for _, d := range r.opts.Densities {
 		ab := make([]float64, len(r.mixes))
@@ -171,18 +145,7 @@ type Fig12Result struct {
 	Curves  []Fig12Curve // sorted by DARP improvement, as in the paper
 }
 
-func fig12Specs(r *Runner, d timing.Density) []SimSpec {
-	l := newSpecList()
-	for _, wl := range r.mixes {
-		l.addWS(r, wl, core.KindREFab, d, "")
-		for _, k := range Fig12Mechanisms() {
-			l.addWS(r, wl, k, d, "")
-		}
-	}
-	return l.list()
-}
-
-func assembleFig12(r *Runner, res Results, d timing.Density) Fig12Result {
+func assembleFig12(r *Runner, res lookup, d timing.Density) Fig12Result {
 	out := Fig12Result{Density: d}
 	out.Curves = make([]Fig12Curve, len(r.mixes))
 	for i, wl := range r.mixes {
@@ -220,18 +183,7 @@ func (f Fig12Result) String() string {
 // renders — one per runner density, in order.
 type Fig12Set struct{ Figs []Fig12Result }
 
-// fig12AllSpecs enumerates Fig. 12 across every runner density.
-func fig12AllSpecs(r *Runner) []SimSpec {
-	l := newSpecList()
-	for _, d := range r.opts.Densities {
-		for _, s := range fig12Specs(r, d) {
-			l.add(s)
-		}
-	}
-	return l.list()
-}
-
-func assembleFig12Set(r *Runner, res Results) Fig12Set {
+func assembleFig12Set(r *Runner, res lookup) Fig12Set {
 	var out Fig12Set
 	for _, d := range r.opts.Densities {
 		out.Figs = append(out.Figs, assembleFig12(r, res, d))
@@ -273,22 +225,7 @@ type Fig13Result struct {
 	Improve   map[core.Kind][]float64 // % over REFab, indexed by density
 }
 
-func fig13Specs(r *Runner) []SimSpec {
-	l := newSpecList()
-	for _, d := range r.opts.Densities {
-		for _, wl := range r.mixes {
-			l.addWS(r, wl, core.KindREFab, d, "")
-		}
-		for _, k := range Fig13Mechanisms() {
-			for _, wl := range r.mixes {
-				l.addWS(r, wl, k, d, "")
-			}
-		}
-	}
-	return l.list()
-}
-
-func assembleFig13(r *Runner, res Results) Fig13Result {
+func assembleFig13(r *Runner, res lookup) Fig13Result {
 	out := Fig13Result{Densities: r.opts.Densities, Improve: map[core.Kind][]float64{}}
 	for _, d := range r.opts.Densities {
 		ab := res.wsSeries(r, r.mixes, core.KindREFab, d, "")
@@ -339,20 +276,7 @@ type Fig14Result struct {
 	DSARPReduction []float64               // % vs REFab, the paper's callout
 }
 
-// fig14Specs needs no alone runs: energy per access is not WS-normalized.
-func fig14Specs(r *Runner) []SimSpec {
-	l := newSpecList()
-	for _, d := range r.opts.Densities {
-		for _, k := range Fig14Mechanisms() {
-			for _, wl := range r.mixes {
-				l.addRun(r, wl, k, d, "")
-			}
-		}
-	}
-	return l.list()
-}
-
-func assembleFig14(r *Runner, res Results) Fig14Result {
+func assembleFig14(r *Runner, res lookup) Fig14Result {
 	out := Fig14Result{Densities: r.opts.Densities, EPA: map[core.Kind][]float64{}}
 	for di, d := range r.opts.Densities {
 		for _, k := range Fig14Mechanisms() {
@@ -400,19 +324,7 @@ type Fig15Result struct {
 	OverPB     map[int][]float64
 }
 
-func fig15Specs(r *Runner) []SimSpec {
-	l := newSpecList()
-	for _, d := range r.opts.Densities {
-		for _, wl := range r.mixes {
-			l.addWS(r, wl, core.KindDSARP, d, "")
-			l.addWS(r, wl, core.KindREFab, d, "")
-			l.addWS(r, wl, core.KindREFpb, d, "")
-		}
-	}
-	return l.list()
-}
-
-func assembleFig15(r *Runner, res Results) Fig15Result {
+func assembleFig15(r *Runner, res lookup) Fig15Result {
 	out := Fig15Result{
 		Categories: workload.Categories(),
 		Densities:  r.opts.Densities,
@@ -474,47 +386,46 @@ func Fig16Mechanisms() []core.Kind {
 	return []core.Kind{core.KindREFab, core.KindFGR2x, core.KindFGR4x, core.KindAR, core.KindDSARP}
 }
 
-// Fig16Result is WS normalized to REFab.
-type Fig16Result struct {
-	Densities []timing.Density
-	Norm      map[core.Kind][]float64
+// Fig16Result is WS normalized to REFab over Fig16Mechanisms.
+type Fig16Result = NormWSResult
+
+// fig16Heading is the first line of the Fig. 16 render.
+const fig16Heading = "Fig. 16 — WS normalized to REFab:"
+
+// NormWSResult is WS normalized to REFab: per mechanism and density, the
+// gmean over the runner's mixes of WS / WS(REFab). Fig. 16 and the pausing
+// extension (PausingResult) both take this shape.
+type NormWSResult struct {
+	Heading    string
+	Mechanisms []core.Kind
+	Densities  []timing.Density
+	Norm       map[core.Kind][]float64
 }
 
-func fig16Specs(r *Runner) []SimSpec {
-	l := newSpecList()
-	for _, d := range r.opts.Densities {
-		for _, wl := range r.mixes {
-			l.addWS(r, wl, core.KindREFab, d, "")
-		}
-		for _, k := range Fig16Mechanisms() {
-			for _, wl := range r.mixes {
-				l.addWS(r, wl, k, d, "")
+// assembleNormWS builds the assembly of a NormWSResult over the mechanisms
+// mechs returns, rendered under heading.
+func assembleNormWS(heading string, mechs func() []core.Kind) func(*Runner, lookup) NormWSResult {
+	return func(r *Runner, res lookup) NormWSResult {
+		out := NormWSResult{Heading: heading, Mechanisms: mechs(), Densities: r.opts.Densities, Norm: map[core.Kind][]float64{}}
+		for _, d := range r.opts.Densities {
+			ab := res.wsSeries(r, r.mixes, core.KindREFab, d, "")
+			for _, k := range out.Mechanisms {
+				ws := res.wsSeries(r, r.mixes, k, d, "")
+				out.Norm[k] = append(out.Norm[k], stats.Gmean(stats.Ratios(ws, ab)))
 			}
 		}
+		return out
 	}
-	return l.list()
 }
 
-func assembleFig16(r *Runner, res Results) Fig16Result {
-	out := Fig16Result{Densities: r.opts.Densities, Norm: map[core.Kind][]float64{}}
-	for _, d := range r.opts.Densities {
-		ab := res.wsSeries(r, r.mixes, core.KindREFab, d, "")
-		for _, k := range Fig16Mechanisms() {
-			ws := res.wsSeries(r, r.mixes, k, d, "")
-			out.Norm[k] = append(out.Norm[k], stats.Gmean(stats.Ratios(ws, ab)))
-		}
-	}
-	return out
-}
-
-func (f Fig16Result) String() string {
+func (f NormWSResult) String() string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "Fig. 16 — WS normalized to REFab:\n%-9s", "mech")
+	fmt.Fprintf(&b, "%s\n%-9s", f.Heading, "mech")
 	for _, d := range f.Densities {
 		fmt.Fprintf(&b, " %7s", d)
 	}
 	b.WriteByte('\n')
-	for _, k := range Fig16Mechanisms() {
+	for _, k := range f.Mechanisms {
 		fmt.Fprintf(&b, "%-9s", k)
 		for i := range f.Densities {
 			fmt.Fprintf(&b, " %7.3f", f.Norm[k][i])

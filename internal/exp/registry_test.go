@@ -45,7 +45,10 @@ func registryGolden(t *testing.T, name string) string {
 // with zero simulations — the resume path of an interrupted fleet. Phase
 // (b) deliberately reads raw store bytes through DecodeResult on a
 // store-less runner — exactly what a fleet client does after fetching
-// results from dsarpd workers.
+// results from dsarpd workers. It also checks that the enumeration is
+// exact in both directions: (c) fails on a spec Specs misses, and (b)
+// removes each enumerated spec in turn and requires Assemble to fail
+// naming it, so Specs lists nothing the assembly does not read.
 func TestRegistryMatchesGolden(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs the complete registry")
@@ -99,6 +102,16 @@ func TestRegistryMatchesGolden(t *testing.T) {
 		if got, want := out.String(), registryGolden(t, e.Name); got != want {
 			t.Errorf("%s: store-assembled render diverged from golden:\n got:\n%s\nwant:\n%s", e.Name, got, want)
 		}
+		for _, spec := range specs {
+			k := spec.Key()
+			held := results[k]
+			delete(results, k)
+			_, err := e.Assemble(assembler, results)
+			if err == nil || !strings.Contains(err.Error(), "missing result") || !strings.Contains(err.Error(), k.String()) {
+				t.Errorf("%s: assembled without %s: err = %v, want a missing-result error naming it", e.Name, spec.label(), err)
+			}
+			results[k] = held
+		}
 	}
 	if n := assembler.SimsRun(); n != 0 {
 		t.Errorf("assembly pass executed %d simulations, want 0", n)
@@ -143,6 +156,29 @@ func TestRegistryCoversCmdNames(t *testing.T) {
 	}
 	if _, ok := LookupExperiment("table99"); ok {
 		t.Error("LookupExperiment invented an experiment")
+	}
+}
+
+// TestSpecCountsAtPaperScale enumerates the whole registry at Paper(),
+// which runs no simulation, and pins every experiment's spec count. A
+// panic fails it: every assembly must run on the recorder's stand-in
+// results. The counts are those the hand-written per-experiment
+// enumerations produced before Specs was derived from the assemblies.
+func TestSpecCountsAtPaperScale(t *testing.T) {
+	want := map[string]int{
+		"fig5": 0, "fig6": 618, "fig7": 918, "fig12": 1518, "table2": 1518,
+		"fig13": 2418, "breakdown": 918, "fig14": 2400, "fig15": 918,
+		"table3": 106, "table4": 202, "table5": 234, "table6": 918,
+		"fig16": 1518, "ablations": 122, "pausing": 1518,
+	}
+	r := NewRunner(Paper())
+	for _, e := range Experiments() {
+		if got := len(e.Specs(r)); got != want[e.Name] {
+			t.Errorf("%s: %d specs at Paper(), want %d", e.Name, got, want[e.Name])
+		}
+	}
+	if len(want) != len(Experiments()) {
+		t.Errorf("%d pinned counts for %d experiments", len(want), len(Experiments()))
 	}
 }
 

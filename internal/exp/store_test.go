@@ -42,6 +42,38 @@ func TestResultJSONRoundTrip(t *testing.T) {
 	}
 }
 
+// FuzzDecodeResult feeds DecodeResult hostile bytes, as a peer or a
+// damaged store entry could: anything it accepts must re-encode, and
+// decoding that encoding must give the same result.
+func FuzzDecodeResult(f *testing.F) {
+	r := NewRunner(registryOpts())
+	res, _ := runOne(f, r, r.specFor(r.Mixes()[0], core.KindDSARP, timing.Gb32, ""))
+	data, err := EncodeResult(res)
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(data)
+	f.Add(data[:len(data)/2])
+	f.Add(append([]byte(`{"unknown_field":1,`), data[1:]...))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		res, err := DecodeResult(data)
+		if err != nil {
+			return
+		}
+		enc, err := EncodeResult(res)
+		if err != nil {
+			t.Fatalf("accepted payload does not re-encode: %v", err)
+		}
+		back, err := DecodeResult(enc)
+		if err != nil {
+			t.Fatalf("re-encoded payload does not decode: %v", err)
+		}
+		if !reflect.DeepEqual(res, back) {
+			t.Errorf("re-encoding changed the result:\n got %+v\nwant %+v", back, res)
+		}
+	})
+}
+
 // TestWarmStoreRestart is the resume contract: a second runner over the
 // same store reproduces the golden tables byte for byte without executing
 // a single simulation.

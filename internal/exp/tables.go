@@ -11,11 +11,12 @@ import (
 	"dsarp/internal/workload"
 )
 
-// Every table in this file follows the registry decomposition: a specs
-// function enumerating the simulations it needs and an assemble function
-// computing the table purely from a Results map. The assembly loops are
-// kept line-for-line equivalent to the historical interleaved code, so the
-// rendered tables match the golden fixtures byte for byte.
+// Every table in this file is one assemble function that computes the
+// table from simulation results read through a lookup (see lookup): the
+// registry derives the table's spec list from the same function, so the
+// two cannot disagree. The assembly loops are kept line-for-line
+// equivalent to the historical interleaved code, so the rendered tables
+// match the golden fixtures byte for byte.
 
 // --- Table 2: max & gmean WS improvement over both baselines ---
 
@@ -37,20 +38,7 @@ func Table2Mechanisms() []core.Kind {
 	return []core.Kind{core.KindDARP, core.KindSARPpb, core.KindDSARP}
 }
 
-func table2Specs(r *Runner) []SimSpec {
-	l := newSpecList()
-	mechs := append([]core.Kind{core.KindREFab, core.KindREFpb}, Table2Mechanisms()...)
-	for _, d := range r.opts.Densities {
-		for _, k := range mechs {
-			for _, wl := range r.mixes {
-				l.addWS(r, wl, k, d, "")
-			}
-		}
-	}
-	return l.list()
-}
-
-func assembleTable2(r *Runner, res Results) Table2Result {
+func assembleTable2(r *Runner, res lookup) Table2Result {
 	var out Table2Result
 	for _, d := range r.opts.Densities {
 		ab := res.wsSeries(r, r.mixes, core.KindREFab, d, "")
@@ -99,19 +87,7 @@ type BreakdownRow struct {
 // BreakdownResult is the §6.1.2 component analysis.
 type BreakdownResult struct{ Rows []BreakdownRow }
 
-func breakdownSpecs(r *Runner) []SimSpec {
-	l := newSpecList()
-	for _, d := range r.opts.Densities {
-		for _, k := range []core.Kind{core.KindREFab, core.KindDARPOoO, core.KindDARP} {
-			for _, wl := range r.mixes {
-				l.addWS(r, wl, k, d, "")
-			}
-		}
-	}
-	return l.list()
-}
-
-func assembleBreakdown(r *Runner, res Results) BreakdownResult {
+func assembleBreakdown(r *Runner, res lookup) BreakdownResult {
 	var out BreakdownResult
 	for _, d := range r.opts.Densities {
 		ab := res.wsSeries(r, r.mixes, core.KindREFab, d, "")
@@ -162,20 +138,7 @@ func table3Mixes(r *Runner, cores int) []workload.Workload {
 	return workload.IntensiveMixes(r.opts.Sensitivity, cores, r.opts.Seed+1)
 }
 
-func table3Specs(r *Runner) []SimSpec {
-	l := newSpecList()
-	d := timing.Gb32
-	for _, cores := range table3CoreCounts() {
-		variant := fmt.Sprintf("cores%d", cores)
-		for _, wl := range table3Mixes(r, cores) {
-			l.addWS(r, wl, core.KindREFab, d, variant)
-			l.addWS(r, wl, core.KindDSARP, d, variant)
-		}
-	}
-	return l.list()
-}
-
-func assembleTable3(r *Runner, res Results) Table3Result {
+func assembleTable3(r *Runner, res lookup) Table3Result {
 	var out Table3Result
 	d := timing.Gb32
 	for _, cores := range table3CoreCounts() {
@@ -227,20 +190,7 @@ type Table4Result struct {
 
 func table4TFAWs() []int { return []int{5, 10, 15, 20, 25, 30} }
 
-func table4Specs(r *Runner) []SimSpec {
-	l := newSpecList()
-	d := timing.Gb32
-	for _, tfaw := range table4TFAWs() {
-		variant := fmt.Sprintf("tfaw%d", tfaw)
-		for _, wl := range r.sensitive {
-			l.addWS(r, wl, core.KindSARPpb, d, variant)
-			l.addWS(r, wl, core.KindREFpb, d, variant)
-		}
-	}
-	return l.list()
-}
-
-func assembleTable4(r *Runner, res Results) Table4Result {
+func assembleTable4(r *Runner, res lookup) Table4Result {
 	out := Table4Result{TFAW: table4TFAWs()}
 	d := timing.Gb32
 	for _, tfaw := range out.TFAW {
@@ -282,20 +232,7 @@ type Table5Result struct {
 
 func table5Subarrays() []int { return []int{1, 2, 4, 8, 16, 32, 64} }
 
-func table5Specs(r *Runner) []SimSpec {
-	l := newSpecList()
-	d := timing.Gb32
-	for _, subs := range table5Subarrays() {
-		variant := fmt.Sprintf("subs%d", subs)
-		for _, wl := range r.sensitive {
-			l.addWS(r, wl, core.KindSARPpb, d, variant)
-			l.addWS(r, wl, core.KindREFpb, d, variant)
-		}
-	}
-	return l.list()
-}
-
-func assembleTable5(r *Runner, res Results) Table5Result {
+func assembleTable5(r *Runner, res lookup) Table5Result {
 	out := Table5Result{Subarrays: table5Subarrays()}
 	d := timing.Gb32
 	for _, subs := range out.Subarrays {
@@ -339,19 +276,7 @@ type Table6Row struct {
 // Table6Result mirrors the paper's Table 6: DSARP at 64 ms retention.
 type Table6Result struct{ Rows []Table6Row }
 
-func table6Specs(r *Runner) []SimSpec {
-	l := newSpecList()
-	for _, d := range r.opts.Densities {
-		for _, k := range []core.Kind{core.KindREFab, core.KindREFpb, core.KindDSARP} {
-			for _, wl := range r.mixes {
-				l.addWS(r, wl, k, d, "ret64")
-			}
-		}
-	}
-	return l.list()
-}
-
-func assembleTable6(r *Runner, res Results) Table6Result {
+func assembleTable6(r *Runner, res lookup) Table6Result {
 	var out Table6Result
 	for _, d := range r.opts.Densities {
 		ab := res.wsSeries(r, r.mixes, core.KindREFab, d, "ret64")

@@ -533,7 +533,7 @@ func (s *Server) handleExperimentList(w http.ResponseWriter, _ *http.Request) {
 			RunURL:    "/v1/experiments/" + e.Name,
 		}
 		if st != nil {
-			warm := exp.WarmCount(st, specs)
+			warm := s.runner.WarmCount(specs)
 			info.WarmCount = &warm
 		}
 		infos = append(infos, info)
