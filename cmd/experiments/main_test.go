@@ -7,6 +7,20 @@ import (
 	"dsarp/internal/exp"
 )
 
+// TestParseScale: -scale names its two scales, and any other value is an
+// error naming it rather than a silent run at the default scale.
+func TestParseScale(t *testing.T) {
+	for name, want := range map[string]exp.Options{"default": exp.Defaults(), "paper": exp.Paper()} {
+		got, err := exp.ParseScale(name)
+		if err != nil || got.PerCategory != want.PerCategory || got.Measure != want.Measure {
+			t.Errorf("ParseScale(%q) = %+v, %v; want %+v", name, got, err, want)
+		}
+	}
+	if _, err := exp.ParseScale("papr"); err == nil || !strings.Contains(err.Error(), `"papr"`) {
+		t.Errorf("misspelled scale: err = %v, want an error naming \"papr\"", err)
+	}
+}
+
 // TestSelectExperiments: -run names resolve in registry order, "all"
 // selects the whole registry, and a misspelled name is an error naming it
 // rather than a silently shorter run.

@@ -128,9 +128,10 @@ func mainImpl() int {
 		return 2
 	}
 
-	opts := exp.Defaults()
-	if *scale == "paper" {
-		opts = exp.Paper()
+	opts, err := exp.ParseScale(*scale)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "%v\n", err)
+		return 2
 	}
 	opts.Seed = *seed
 	if *percat > 0 {

@@ -5,6 +5,7 @@ import (
 	"math"
 
 	"dsarp/internal/snap"
+	"dsarp/internal/stats"
 )
 
 // AppendState writes the slice's mutable state: the tag store, LRU
@@ -27,11 +28,9 @@ import (
 // order; each entry's set follows from its line address.
 func (s *Slice) AppendState(w *snap.Writer) {
 	w.I64(s.tick)
-	w.I64(s.stats.Accesses)
-	w.I64(s.stats.Hits)
-	w.I64(s.stats.Misses)
-	w.I64(s.stats.MSHRMerges)
-	w.I64(s.stats.Writebacks)
+	for _, p := range stats.Counters(&s.stats) {
+		w.I64(*p)
+	}
 	occupied := 0
 	for _, set := range s.sets {
 		if set[0].valid {
@@ -101,11 +100,9 @@ func validPrefix(set []line) int {
 // corrupt input yields an error rather than a slice that panics later.
 func (s *Slice) LoadState(r *snap.Reader, resolve func(tag uint64) (func(now int64), error)) error {
 	s.tick = r.I64()
-	s.stats.Accesses = r.I64()
-	s.stats.Hits = r.I64()
-	s.stats.Misses = r.I64()
-	s.stats.MSHRMerges = r.I64()
-	s.stats.Writebacks = r.I64()
+	for _, p := range stats.Counters(&s.stats) {
+		*p = r.I64()
+	}
 	nSets, ways := len(s.sets), s.cfg.Ways
 	// Set indices must be strictly increasing, which also rules out
 	// duplicates.

@@ -21,15 +21,10 @@ import (
 // matching the paper's observation that AR "performs slightly worse than
 // REFab (within 1%)".
 type Adaptive struct {
-	v     sched.View
-	ranks int
-	banks int
-	next  []int64 // per-rank next nominal 1x refresh time
-	owedN []int64 // per-rank postponed 1x refreshes
+	rankTimers // owed counts are in 1x refreshes
 	// quarters is the per-rank count of outstanding 4x sub-commands for a 1x
 	// refresh being paid down at 4x granularity.
 	quarters []int
-	forced   []bool
 
 	dur4x  int // 4x command latency: tRFCab / 1.63
 	rows4x int
@@ -40,45 +35,16 @@ type Adaptive struct {
 // timing parameters must be the standard (1x) set.
 func NewAdaptive(v sched.View, seed int64) *Adaptive {
 	g := v.Dev().Geometry()
-	tp := v.Timing()
-	p := &Adaptive{
-		v:        v,
-		ranks:    g.Ranks,
-		banks:    g.Banks,
-		next:     make([]int64, g.Ranks),
-		owedN:    make([]int64, g.Ranks),
-		quarters: make([]int, g.Ranks),
-		forced:   make([]bool, g.Ranks),
-		dur4x:    timing.NsToCycles(timing.CyclesToNs(tp.TRFCab) / 1.63),
-		rows4x:   max(1, g.RowsPerRef/4),
+	return &Adaptive{
+		rankTimers: newRankTimers(v, seed),
+		quarters:   make([]int, g.Ranks),
+		dur4x:      timing.NsToCycles(timing.CyclesToNs(v.Timing().TRFCab) / 1.63),
+		rows4x:     max(1, g.RowsPerRef/4),
 	}
-	stagger := int64(tp.TREFIab) / int64(g.Ranks)
-	base := phaseOffset(seed, stagger)
-	for r := 0; r < g.Ranks; r++ {
-		p.next[r] = base + int64(r)*stagger
-	}
-	return p
 }
 
 // Name implements sched.RefreshPolicy.
 func (p *Adaptive) Name() string { return "AR" }
-
-// RankBlocked implements sched.RefreshPolicy.
-func (p *Adaptive) RankBlocked(rank int) bool { return p.forced[rank] }
-
-// BankBlocked implements sched.RefreshPolicy.
-func (p *Adaptive) BankBlocked(int, int) bool { return false }
-
-// setForced updates a rank's forced flag, bumping the blocked epoch on
-// change.
-func (p *Adaptive) setForced(r int, v bool) {
-	if p.forced[r] != v {
-		p.forced[r] = v
-		p.v.NoteBlockedChanged()
-	}
-}
-
-func (p *Adaptive) rankIdle(rank int) bool { return p.v.PendingRankDemand(rank) == 0 }
 
 // NextDeadline implements sched.RefreshPolicy. The policy probes the device
 // every cycle while paying down a 4x backlog, while a refresh is overdue, or
@@ -125,18 +91,11 @@ func (p *Adaptive) NextDeadline(now int64) int64 {
 	return ev
 }
 
-// Skip implements sched.RefreshPolicy: no per-cycle accounting.
-func (p *Adaptive) Skip(int64, int64) {}
-
 // Tick implements sched.RefreshPolicy.
 func (p *Adaptive) Tick(now int64, _ bool) bool {
-	tREFI := int64(p.v.Timing().TREFIab)
 	dev := p.v.Dev()
 	for r := 0; r < p.ranks; r++ {
-		for now >= p.next[r] && p.owedN[r] < maxFlex {
-			p.owedN[r]++
-			p.next[r] += tREFI
-		}
+		p.accrue(r, now)
 		if p.owedN[r] == 0 && p.quarters[r] == 0 {
 			p.setForced(r, false)
 			continue
@@ -159,7 +118,7 @@ func (p *Adaptive) Tick(now int64, _ bool) bool {
 			continue
 		}
 
-		overdue := p.owedN[r] >= maxFlex || (p.owedN[r] > 0 && now >= p.next[r])
+		overdue := p.overdue(r, now)
 		if p.rankIdle(r) {
 			// Idle rank: standard 1x refresh.
 			cmd := dram.Cmd{Kind: dram.CmdREFab, Rank: r}
@@ -182,21 +141,6 @@ func (p *Adaptive) Tick(now int64, _ bool) bool {
 			if p.drainRank(r, now) {
 				return true
 			}
-		}
-	}
-	return false
-}
-
-func (p *Adaptive) drainRank(rank int, now int64) bool {
-	dev := p.v.Dev()
-	for b := 0; b < p.banks; b++ {
-		if dev.OpenRow(rank, b) == dram.NoRow {
-			continue
-		}
-		cmd := dram.Cmd{Kind: dram.CmdPRE, Rank: rank, Bank: b}
-		if dev.CanIssue(cmd, now) {
-			p.v.IssueCmd(cmd, now)
-			return true
 		}
 	}
 	return false

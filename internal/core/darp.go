@@ -187,7 +187,7 @@ func (p *DARP) Tick(now int64, demandReady bool) bool {
 				p.setForced(r, b, sch.mustRefresh(b, now))
 				return true
 			}
-			if p.drain(r, b, now) {
+			if drainBank(p.v, r, b, now) {
 				return true
 			}
 		}
@@ -427,24 +427,6 @@ func (p *DARP) wmEligBound(rank int, now int64) int64 {
 		}
 	}
 	return bound
-}
-
-// drain precharges a bank that must refresh but has an open row in the way.
-func (p *DARP) drain(rank, bank int, now int64) bool {
-	dev := p.dev
-	open := dev.OpenRow(rank, bank)
-	if open == dram.NoRow {
-		return false
-	}
-	if dev.SARP() && dev.Geometry().SubarrayOf(open) != dev.RefreshUnit(rank).PeekSubarray(bank) {
-		return false
-	}
-	cmd := dram.Cmd{Kind: dram.CmdPRE, Rank: rank, Bank: bank}
-	if dev.CanIssue(cmd, now) {
-		p.v.IssueCmd(cmd, now)
-		return true
-	}
-	return false
 }
 
 // pickWriteModeBank selects the refresh candidate during writeback mode:

@@ -19,35 +19,18 @@ import (
 // periods are shorter than tRFCab — exactly the memory-intensive, high-
 // density cases the evaluation stresses — so it tracks REFab closely there.
 type Elastic struct {
-	v     sched.View
-	ranks int
-	banks int
-	next  []int64 // per-rank next nominal refresh time
-	owedN []int64 // per-rank postponed refresh count
-
+	rankTimers
 	idleRun []int64 // consecutive idle cycles per rank
 	avgIdle []float64
-	forced  []bool
 }
 
 // NewElastic builds the elastic refresh policy over a controller view.
 // seed offsets the refresh timer phase so independent channels decorrelate.
 func NewElastic(v sched.View, seed int64) *Elastic {
-	g := v.Dev().Geometry()
-	p := &Elastic{
-		v:       v,
-		ranks:   g.Ranks,
-		banks:   g.Banks,
-		next:    make([]int64, g.Ranks),
-		owedN:   make([]int64, g.Ranks),
-		idleRun: make([]int64, g.Ranks),
-		avgIdle: make([]float64, g.Ranks),
-		forced:  make([]bool, g.Ranks),
-	}
-	stagger := int64(v.Timing().TREFIab) / int64(g.Ranks)
-	base := phaseOffset(seed, stagger)
-	for r := 0; r < g.Ranks; r++ {
-		p.next[r] = base + int64(r)*stagger
+	p := &Elastic{rankTimers: newRankTimers(v, seed)}
+	p.idleRun = make([]int64, p.ranks)
+	p.avgIdle = make([]float64, p.ranks)
+	for r := range p.avgIdle {
 		p.avgIdle[r] = float64(v.Timing().TRFCab) // optimistic prior
 	}
 	return p
@@ -55,24 +38,6 @@ func NewElastic(v sched.View, seed int64) *Elastic {
 
 // Name implements sched.RefreshPolicy.
 func (p *Elastic) Name() string { return "Elastic" }
-
-// RankBlocked implements sched.RefreshPolicy.
-func (p *Elastic) RankBlocked(rank int) bool { return p.forced[rank] }
-
-// BankBlocked implements sched.RefreshPolicy.
-func (p *Elastic) BankBlocked(int, int) bool { return false }
-
-// setForced updates a rank's forced flag, bumping the blocked epoch on
-// change.
-func (p *Elastic) setForced(r int, v bool) {
-	if p.forced[r] != v {
-		p.forced[r] = v
-		p.v.NoteBlockedChanged()
-	}
-}
-
-// rankIdle reports whether the rank has no queued demand.
-func (p *Elastic) rankIdle(rank int) bool { return p.v.PendingRankDemand(rank) == 0 }
 
 // threshold is the idle-run length required before releasing a postponed
 // refresh; it relaxes linearly toward zero as the postponement budget is
@@ -146,14 +111,10 @@ func (p *Elastic) Skip(from, to int64) {
 
 // Tick implements sched.RefreshPolicy.
 func (p *Elastic) Tick(now int64, _ bool) bool {
-	tREFI := int64(p.v.Timing().TREFIab)
 	dev := p.v.Dev()
 	issuedSlot := false
 	for r := 0; r < p.ranks; r++ {
-		for now >= p.next[r] && p.owedN[r] < maxFlex {
-			p.owedN[r]++
-			p.next[r] += tREFI
-		}
+		p.accrue(r, now)
 		idle := p.rankIdle(r)
 		if idle {
 			p.idleRun[r]++
@@ -170,7 +131,7 @@ func (p *Elastic) Tick(now int64, _ bool) bool {
 			continue
 		}
 
-		p.setForced(r, p.owedN[r] >= maxFlex || now >= p.next[r])
+		p.setForced(r, p.overdue(r, now))
 		release := p.forced[r] || (idle && p.idleRun[r] >= p.threshold(r))
 		if !release {
 			continue
@@ -188,19 +149,4 @@ func (p *Elastic) Tick(now int64, _ bool) bool {
 		}
 	}
 	return issuedSlot
-}
-
-func (p *Elastic) drainRank(rank int, now int64) bool {
-	dev := p.v.Dev()
-	for b := 0; b < p.banks; b++ {
-		if dev.OpenRow(rank, b) == dram.NoRow {
-			continue
-		}
-		cmd := dram.Cmd{Kind: dram.CmdPRE, Rank: rank, Bank: b}
-		if dev.CanIssue(cmd, now) {
-			p.v.IssueCmd(cmd, now)
-			return true
-		}
-	}
-	return false
 }

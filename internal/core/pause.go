@@ -22,13 +22,8 @@ import (
 // whole refresh is overdue (the postponement budget is spent), in which
 // case segments are forced back to back.
 type Pausing struct {
-	v     sched.View
-	ranks int
-	banks int
-	next  []int64 // per-rank next nominal refresh time
-	owedN []int64 // per-rank refreshes due (in whole-REFab units)
-	segs  []int   // per-rank remaining segments of the in-progress refresh
-	force []bool
+	rankTimers       // owed counts are in whole-REFab units
+	segs       []int // per-rank remaining segments of the in-progress refresh
 
 	segments int
 	segDur   int
@@ -47,45 +42,17 @@ func NewPausing(v sched.View, seed int64) *Pausing {
 	if g.RowsPerRef < segs {
 		segs = g.RowsPerRef
 	}
-	p := &Pausing{
-		v:        v,
-		ranks:    g.Ranks,
-		banks:    g.Banks,
-		next:     make([]int64, g.Ranks),
-		owedN:    make([]int64, g.Ranks),
-		segs:     make([]int, g.Ranks),
-		force:    make([]bool, g.Ranks),
-		segments: segs,
-		segDur:   max(1, tp.TRFCab/segs),
-		segRows:  max(1, g.RowsPerRef/segs),
+	return &Pausing{
+		rankTimers: newRankTimers(v, seed),
+		segs:       make([]int, g.Ranks),
+		segments:   segs,
+		segDur:     max(1, tp.TRFCab/segs),
+		segRows:    max(1, g.RowsPerRef/segs),
 	}
-	stagger := int64(tp.TREFIab) / int64(g.Ranks)
-	base := phaseOffset(seed, stagger)
-	for r := 0; r < g.Ranks; r++ {
-		p.next[r] = base + int64(r)*stagger
-	}
-	return p
 }
 
 // Name implements sched.RefreshPolicy.
 func (p *Pausing) Name() string { return "Pause" }
-
-// RankBlocked implements sched.RefreshPolicy: demand is held only when the
-// refresh can no longer be postponed or paused.
-func (p *Pausing) RankBlocked(rank int) bool { return p.force[rank] }
-
-// BankBlocked implements sched.RefreshPolicy.
-func (p *Pausing) BankBlocked(int, int) bool { return false }
-
-// setForce updates a rank's force flag, bumping the blocked epoch on change.
-func (p *Pausing) setForce(r int, v bool) {
-	if p.force[r] != v {
-		p.force[r] = v
-		p.v.NoteBlockedChanged()
-	}
-}
-
-func (p *Pausing) rankIdle(rank int) bool { return p.v.PendingRankDemand(rank) == 0 }
 
 // NextDeadline implements sched.RefreshPolicy. The one quiescent state with
 // refresh work outstanding is the pausing point itself: segments remain,
@@ -100,8 +67,8 @@ func (p *Pausing) NextDeadline(now int64) int64 {
 			return now // owed count accrues this cycle
 		}
 		if p.owedN[r] == 0 && p.segs[r] == 0 {
-			if p.force[r] {
-				return now // Tick clears the stale force flag (epoch bump)
+			if p.forced[r] {
+				return now // Tick clears the stale forced flag (epoch bump)
 			}
 			if p.next[r] < ev {
 				ev = p.next[r]
@@ -111,8 +78,7 @@ func (p *Pausing) NextDeadline(now int64) int64 {
 		if p.segs[r] == 0 {
 			return now // a new refresh starts (owed consumed, segments armed)
 		}
-		forced := p.owedN[r] >= maxFlex || (p.owedN[r] > 0 && now >= p.next[r])
-		if forced || p.force[r] || p.rankIdle(r) {
+		if p.overdue(r, now) || p.forced[r] || p.rankIdle(r) {
 			return now
 		}
 		if p.next[r] < ev {
@@ -122,24 +88,17 @@ func (p *Pausing) NextDeadline(now int64) int64 {
 	return ev
 }
 
-// Skip implements sched.RefreshPolicy: no per-cycle accounting.
-func (p *Pausing) Skip(int64, int64) {}
-
 // Tick implements sched.RefreshPolicy.
 func (p *Pausing) Tick(now int64, _ bool) bool {
-	tREFI := int64(p.v.Timing().TREFIab)
 	dev := p.v.Dev()
 	for r := 0; r < p.ranks; r++ {
-		for now >= p.next[r] && p.owedN[r] < maxFlex {
-			p.owedN[r]++
-			p.next[r] += tREFI
-		}
+		p.accrue(r, now)
 		if p.owedN[r] == 0 && p.segs[r] == 0 {
-			p.setForce(r, false)
+			p.setForced(r, false)
 			continue
 		}
 		// Forced when the budget is exhausted: finish segments back to back.
-		p.setForce(r, p.owedN[r] >= maxFlex || (p.owedN[r] > 0 && now >= p.next[r]))
+		p.setForced(r, p.overdue(r, now))
 		if p.segs[r] == 0 {
 			// Start a new refresh (consume one owed REFab).
 			p.owedN[r]--
@@ -147,7 +106,7 @@ func (p *Pausing) Tick(now int64, _ bool) bool {
 		}
 		// Pause: while demand is pending and we are not forced, yield the
 		// slot — this is the refresh pausing point.
-		if !p.force[r] && !p.rankIdle(r) {
+		if !p.forced[r] && !p.rankIdle(r) {
 			continue
 		}
 		cmd := dram.Cmd{Kind: dram.CmdREFab, Rank: r, RefDur: p.segDur, RefRows: p.segRows}
@@ -156,22 +115,7 @@ func (p *Pausing) Tick(now int64, _ bool) bool {
 			p.segs[r]--
 			return true
 		}
-		if p.force[r] && p.drainRank(r, now) {
-			return true
-		}
-	}
-	return false
-}
-
-func (p *Pausing) drainRank(rank int, now int64) bool {
-	dev := p.v.Dev()
-	for b := 0; b < p.banks; b++ {
-		if dev.OpenRow(rank, b) == dram.NoRow {
-			continue
-		}
-		cmd := dram.Cmd{Kind: dram.CmdPRE, Rank: rank, Bank: b}
-		if dev.CanIssue(cmd, now) {
-			p.v.IssueCmd(cmd, now)
+		if p.forced[r] && p.drainRank(r, now) {
 			return true
 		}
 	}

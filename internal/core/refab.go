@@ -17,12 +17,11 @@ import (
 // Paired with a SARP-enabled device this policy is the paper's SARPab
 // configuration: the rank keeps serving accesses to non-refreshing
 // subarrays during tRFCab.
+//
+// Every due refresh is forced: the rank timers' forced flag is the due
+// flag, and the owed count stays unused.
 type AllBank struct {
-	v       sched.View
-	ranks   int
-	banks   int
-	next    []int64 // next nominal refresh time per rank
-	due     []bool
+	rankTimers
 	refRows int // rows per refresh op (scaled down under FGR)
 }
 
@@ -32,23 +31,12 @@ type AllBank struct {
 // with proportionally fewer rows restored per command.
 func NewAllBank(v sched.View, seed int64) *AllBank {
 	g := v.Dev().Geometry()
-	p := &AllBank{
-		v:     v,
-		ranks: g.Ranks,
-		banks: g.Banks,
-		next:  make([]int64, g.Ranks),
-		due:   make([]bool, g.Ranks),
-	}
+	p := &AllBank{rankTimers: newRankTimers(v, seed)}
 	switch v.Timing().Mode {
 	case timing.RefFGR2x:
 		p.refRows = max(1, g.RowsPerRef/2)
 	case timing.RefFGR4x:
 		p.refRows = max(1, g.RowsPerRef/4)
-	}
-	stagger := int64(v.Timing().TREFIab) / int64(g.Ranks)
-	base := phaseOffset(seed, stagger)
-	for r := 0; r < g.Ranks; r++ {
-		p.next[r] = base + int64(r)*stagger
 	}
 	return p
 }
@@ -70,10 +58,7 @@ func (p *AllBank) Name() string {
 // RankBlocked implements sched.RefreshPolicy: demand is held while a rank
 // drains for a due refresh. With SARP there is no need to drain — the rank
 // stays accessible during refresh — so nothing is blocked.
-func (p *AllBank) RankBlocked(rank int) bool { return !p.v.Dev().SARP() && p.due[rank] }
-
-// BankBlocked implements sched.RefreshPolicy.
-func (p *AllBank) BankBlocked(int, int) bool { return false }
+func (p *AllBank) RankBlocked(rank int) bool { return !p.v.Dev().SARP() && p.forced[rank] }
 
 // NextDeadline implements sched.RefreshPolicy. A rank with a due refresh is
 // active only while it drains open banks or could actually issue; once the
@@ -85,10 +70,10 @@ func (p *AllBank) NextDeadline(now int64) int64 {
 	ev := int64(math.MaxInt64)
 	dev := p.v.Dev()
 	for r := 0; r < p.ranks; r++ {
-		if now >= p.next[r] && !p.due[r] {
+		if now >= p.next[r] && !p.forced[r] {
 			return now // due flag flips this cycle
 		}
-		if !p.due[r] {
+		if !p.forced[r] {
 			if p.next[r] < ev {
 				ev = p.next[r]
 			}
@@ -127,59 +112,24 @@ func (p *AllBank) NextDeadline(now int64) int64 {
 	return ev
 }
 
-// Skip implements sched.RefreshPolicy: no per-cycle accounting.
-func (p *AllBank) Skip(int64, int64) {}
-
-// setDue updates a rank's due flag, bumping the blocked epoch on change.
-func (p *AllBank) setDue(r int, v bool) {
-	if p.due[r] != v {
-		p.due[r] = v
-		p.v.NoteBlockedChanged()
-	}
-}
-
 // Tick implements sched.RefreshPolicy.
 func (p *AllBank) Tick(now int64, _ bool) bool {
-	tREFI := int64(p.v.Timing().TREFIab)
 	dev := p.v.Dev()
 	for r := 0; r < p.ranks; r++ {
 		if now >= p.next[r] {
-			p.setDue(r, true)
+			p.setForced(r, true)
 		}
-		if !p.due[r] {
+		if !p.forced[r] {
 			continue
 		}
 		cmd := dram.Cmd{Kind: dram.CmdREFab, Rank: r, RefRows: p.refRows}
 		if dev.CanIssue(cmd, now) {
 			p.v.IssueCmd(cmd, now)
-			p.next[r] += tREFI
-			p.setDue(r, now >= p.next[r]) // back-to-back if we fell behind
+			p.next[r] += p.tREFI
+			p.setForced(r, now >= p.next[r]) // back-to-back if we fell behind
 			return true
 		}
 		if p.drainRank(r, now) {
-			return true
-		}
-	}
-	return false
-}
-
-// drainRank issues one precharge toward making the rank refreshable. With
-// SARP only banks whose open row sits in the to-be-refreshed subarray stand
-// in the way; everything else keeps serving during the refresh.
-func (p *AllBank) drainRank(rank int, now int64) bool {
-	dev := p.v.Dev()
-	g := dev.Geometry()
-	for b := 0; b < g.Banks; b++ {
-		open := dev.OpenRow(rank, b)
-		if open == dram.NoRow {
-			continue
-		}
-		if dev.SARP() && g.SubarrayOf(open) != dev.RefreshUnit(rank).PeekSubarray(b) {
-			continue
-		}
-		cmd := dram.Cmd{Kind: dram.CmdPRE, Rank: rank, Bank: b}
-		if dev.CanIssue(cmd, now) {
-			p.v.IssueCmd(cmd, now)
 			return true
 		}
 	}

@@ -28,21 +28,16 @@ type PerBank struct {
 // seed offsets the refresh timer phase so independent channels decorrelate.
 func NewPerBank(v sched.View, seed int64) *PerBank {
 	g := v.Dev().Geometry()
-	p := &PerBank{
+	// Rank schedules are staggered half a tREFIpb apart so the two ranks'
+	// refresh pulses interleave, as independent per-rank refresh timers
+	// would.
+	return &PerBank{
 		v:     v,
 		ranks: g.Ranks,
 		banks: g.Banks,
-		next:  make([]int64, g.Ranks),
+		next:  staggeredTimers(seed, int64(v.Timing().TREFIpb), g.Ranks),
 		owedN: make([]int64, g.Ranks),
 	}
-	// Stagger rank schedules half a tREFIpb apart so the two ranks' refresh
-	// pulses interleave, as independent per-rank refresh timers would.
-	stagger := int64(v.Timing().TREFIpb) / int64(g.Ranks)
-	base := phaseOffset(seed, stagger)
-	for r := 0; r < g.Ranks; r++ {
-		p.next[r] = base + int64(r)*stagger
-	}
-	return p
 }
 
 // Name implements sched.RefreshPolicy.
@@ -137,28 +132,9 @@ func (p *PerBank) Tick(now int64, _ bool) bool {
 			p.v.NoteBlockedChanged() // owed count or round-robin bank changed
 			return true
 		}
-		if p.drainBank(r, bank, now) {
+		if drainBank(p.v, r, bank, now) {
 			return true
 		}
-	}
-	return false
-}
-
-// drainBank precharges the round-robin target bank if its open row blocks
-// the refresh.
-func (p *PerBank) drainBank(rank, bank int, now int64) bool {
-	dev := p.v.Dev()
-	open := dev.OpenRow(rank, bank)
-	if open == dram.NoRow {
-		return false
-	}
-	if dev.SARP() && dev.Geometry().SubarrayOf(open) != dev.RefreshUnit(rank).PeekSubarray(bank) {
-		return false // SARP: the open row does not conflict with the refresh
-	}
-	cmd := dram.Cmd{Kind: dram.CmdPRE, Rank: rank, Bank: bank}
-	if dev.CanIssue(cmd, now) {
-		p.v.IssueCmd(cmd, now)
-		return true
 	}
 	return false
 }

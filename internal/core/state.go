@@ -42,13 +42,13 @@ func loadBools(r *snap.Reader, vs []bool) {
 // AppendState implements snap.Codec.
 func (p *AllBank) AppendState(w *snap.Writer) {
 	appendI64s(w, p.next)
-	appendBools(w, p.due)
+	appendBools(w, p.forced)
 }
 
 // LoadState implements snap.Codec.
 func (p *AllBank) LoadState(r *snap.Reader) error {
 	loadI64s(r, p.next)
-	loadBools(r, p.due)
+	loadBools(r, p.forced)
 	return r.Err()
 }
 
@@ -117,7 +117,7 @@ func (p *Pausing) AppendState(w *snap.Writer) {
 	for _, v := range p.segs {
 		w.Int(v)
 	}
-	appendBools(w, p.force)
+	appendBools(w, p.forced)
 }
 
 // LoadState implements snap.Codec.
@@ -127,7 +127,7 @@ func (p *Pausing) LoadState(r *snap.Reader) error {
 	for i := range p.segs {
 		p.segs[i] = r.Int()
 	}
-	loadBools(r, p.force)
+	loadBools(r, p.forced)
 	return r.Err()
 }
 

@@ -38,9 +38,6 @@ func (k CmdKind) IsColumn() bool {
 	return k == CmdRD || k == CmdRDA || k == CmdWR || k == CmdWRA
 }
 
-// IsRead reports whether the command is a read column command.
-func (k CmdKind) IsRead() bool { return k == CmdRD || k == CmdRDA }
-
 // IsWrite reports whether the command is a write column command.
 func (k CmdKind) IsWrite() bool { return k == CmdWR || k == CmdWRA }
 

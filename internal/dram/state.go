@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"dsarp/internal/snap"
+	"dsarp/internal/stats"
 )
 
 // AppendState writes the device's mutable state: every per-bank and
@@ -35,9 +36,8 @@ func (d *Device) AppendState(w *snap.Writer) {
 	w.I64(d.busFreeAt)
 	w.I64(d.nextRead)
 	w.I64(d.nextWrite)
-	s := &d.stats
-	for _, v := range []int64{s.Commands, s.Acts, s.Pres, s.Reads, s.Writes, s.RefABs, s.RefPBs} {
-		w.I64(v)
+	for _, p := range stats.Counters(&d.stats) {
+		w.I64(*p)
 	}
 	for _, u := range d.units {
 		u.AppendState(w)
@@ -72,8 +72,7 @@ func (d *Device) LoadState(r *snap.Reader) error {
 	d.busFreeAt = r.I64()
 	d.nextRead = r.I64()
 	d.nextWrite = r.I64()
-	s := &d.stats
-	for _, p := range []*int64{&s.Commands, &s.Acts, &s.Pres, &s.Reads, &s.Writes, &s.RefABs, &s.RefPBs} {
+	for _, p := range stats.Counters(&d.stats) {
 		*p = r.I64()
 	}
 	for _, u := range d.units {

@@ -12,30 +12,5 @@ type Stats struct {
 	RefPBs   int64
 }
 
-// Add accumulates other into s.
-func (s *Stats) Add(other Stats) {
-	s.Commands += other.Commands
-	s.Acts += other.Acts
-	s.Pres += other.Pres
-	s.Reads += other.Reads
-	s.Writes += other.Writes
-	s.RefABs += other.RefABs
-	s.RefPBs += other.RefPBs
-}
-
 // Accesses is the number of column commands served (reads + writes).
 func (s Stats) Accesses() int64 { return s.Reads + s.Writes }
-
-// Sub returns s - other, field-wise (used to isolate a measurement window
-// from cumulative counters).
-func (s Stats) Sub(other Stats) Stats {
-	return Stats{
-		Commands: s.Commands - other.Commands,
-		Acts:     s.Acts - other.Acts,
-		Pres:     s.Pres - other.Pres,
-		Reads:    s.Reads - other.Reads,
-		Writes:   s.Writes - other.Writes,
-		RefABs:   s.RefABs - other.RefABs,
-		RefPBs:   s.RefPBs - other.RefPBs,
-	}
-}

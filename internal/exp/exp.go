@@ -129,6 +129,20 @@ func Paper() Options {
 	return o
 }
 
+// ParseScale resolves a -scale flag value: "default" is Defaults() and
+// "paper" is Paper(). Any other value is an error naming it, so a
+// misspelled scale never runs at the wrong one.
+func ParseScale(s string) (Options, error) {
+	switch s {
+	case "default":
+		return Defaults(), nil
+	case "paper":
+		return Paper(), nil
+	default:
+		return Options{}, fmt.Errorf("exp: unknown scale %q (want default or paper)", s)
+	}
+}
+
 // Runner executes and caches simulations. All methods are safe for
 // concurrent use; the runner itself fans simulations out over
 // Options.Parallelism workers.
@@ -319,9 +333,6 @@ func (r *Runner) Options() Options { return r.opts }
 
 // Mixes returns the main 5-category workload set.
 func (r *Runner) Mixes() []workload.Workload { return r.mixes }
-
-// SensitivityMixes returns the all-intensive workloads of §6.2-6.4.
-func (r *Runner) SensitivityMixes() []workload.Workload { return r.sensitive }
 
 // RunSource says where a result came from.
 type RunSource int

@@ -128,10 +128,6 @@ func (u *Unit) LoadState(r *snap.Reader) error {
 	return r.Err()
 }
 
-// AdvanceRR moves the round-robin pointer past the given bank; used when a
-// controller-directed refresh deliberately services the round-robin target.
-func (u *Unit) AdvanceRR() { u.rrBank = (u.rrBank + 1) % u.banks }
-
 // RefreshAll consumes one refresh op in every bank (all-bank refresh) and
 // returns the per-bank ops in bank order.
 func (u *Unit) RefreshAll() []Op { return u.RefreshAllN(u.rowsPerRef) }

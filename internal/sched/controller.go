@@ -254,9 +254,6 @@ func (c *Controller) recycle(req *Request) {
 	}
 }
 
-// ReadQueueLen returns the current read queue occupancy.
-func (c *Controller) ReadQueueLen() int { return c.readIx.n }
-
 // WriteQueueLen returns the current write queue occupancy.
 func (c *Controller) WriteQueueLen() int { return c.writeIx.n }
 

@@ -49,9 +49,6 @@ type Request struct {
 	stamp int64
 }
 
-// Latency is the request's queueing+service latency in DRAM cycles.
-func (r *Request) Latency() int64 { return r.Done - r.Arrive }
-
 // bankPending tracks per-bank queued demand so refresh policies can make
 // O(1) idleness decisions (DARP monitors "bank request queues' occupancies",
 // paper §4.2.1).

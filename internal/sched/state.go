@@ -5,6 +5,7 @@ import (
 	"math"
 
 	"dsarp/internal/snap"
+	"dsarp/internal/stats"
 )
 
 // AppendState writes the controller's mutable state: admission counters,
@@ -30,35 +31,13 @@ func (c *Controller) AppendState(w *snap.Writer) {
 	w.Bool(c.missValid)
 	w.I64(c.missNextTry)
 	w.U64(c.missEpoch)
-	c.appendStats(w)
+	for _, p := range stats.Counters(&c.stats) {
+		w.I64(*p)
+	}
 	c.appendQueue(w, &c.readIx)
 	c.appendQueue(w, &c.writeIx)
 	appendReqList(w, c.inflightRd[c.rdHead:])
 	appendReqList(w, c.inflightFwd[c.fwdHead:])
-}
-
-func (c *Controller) appendStats(w *snap.Writer) {
-	s := &c.stats
-	for _, v := range []int64{
-		s.ReadsServed, s.WritesServed, s.ReadLatencySum, s.WriteLatencySum,
-		s.DemandSlots, s.RefreshSlots, s.ForwardedReads, s.MergedWrites,
-		s.ReadQueueFullStalls, s.WriteQueueFullStalls,
-		s.WriteModeEntries, s.WriteModeCycles, s.OpportunisticDrain,
-	} {
-		w.I64(v)
-	}
-}
-
-func (c *Controller) loadStats(r *snap.Reader) {
-	s := &c.stats
-	for _, p := range []*int64{
-		&s.ReadsServed, &s.WritesServed, &s.ReadLatencySum, &s.WriteLatencySum,
-		&s.DemandSlots, &s.RefreshSlots, &s.ForwardedReads, &s.MergedWrites,
-		&s.ReadQueueFullStalls, &s.WriteQueueFullStalls,
-		&s.WriteModeEntries, &s.WriteModeCycles, &s.OpportunisticDrain,
-	} {
-		*p = r.I64()
-	}
 }
 
 // appendQueue walks the buckets in active-list order so a replayed
@@ -146,7 +125,9 @@ func (c *Controller) LoadState(r *snap.Reader, resolve Resolver) error {
 	c.missValid = r.Bool()
 	c.missNextTry = r.I64()
 	c.missEpoch = r.U64()
-	c.loadStats(r)
+	for _, p := range stats.Counters(&c.stats) {
+		*p = r.I64()
+	}
 
 	// Reset the queues and every structure derived from them, then replay
 	// admissions. The open-row mirrors must be seeded from the device

@@ -28,38 +28,3 @@ func (s Stats) AvgReadLatency() float64 {
 	}
 	return float64(s.ReadLatencySum) / float64(s.ReadsServed)
 }
-
-// Sub returns s - other, field-wise (used to isolate a measurement window
-// from cumulative counters).
-func (s Stats) Sub(other Stats) Stats {
-	return Stats{
-		ReadsServed:          s.ReadsServed - other.ReadsServed,
-		WritesServed:         s.WritesServed - other.WritesServed,
-		ReadLatencySum:       s.ReadLatencySum - other.ReadLatencySum,
-		WriteLatencySum:      s.WriteLatencySum - other.WriteLatencySum,
-		DemandSlots:          s.DemandSlots - other.DemandSlots,
-		RefreshSlots:         s.RefreshSlots - other.RefreshSlots,
-		ForwardedReads:       s.ForwardedReads - other.ForwardedReads,
-		MergedWrites:         s.MergedWrites - other.MergedWrites,
-		ReadQueueFullStalls:  s.ReadQueueFullStalls - other.ReadQueueFullStalls,
-		WriteQueueFullStalls: s.WriteQueueFullStalls - other.WriteQueueFullStalls,
-		WriteModeEntries:     s.WriteModeEntries - other.WriteModeEntries,
-		WriteModeCycles:      s.WriteModeCycles - other.WriteModeCycles,
-	}
-}
-
-// Add accumulates other into s.
-func (s *Stats) Add(other Stats) {
-	s.ReadsServed += other.ReadsServed
-	s.WritesServed += other.WritesServed
-	s.ReadLatencySum += other.ReadLatencySum
-	s.WriteLatencySum += other.WriteLatencySum
-	s.DemandSlots += other.DemandSlots
-	s.RefreshSlots += other.RefreshSlots
-	s.ForwardedReads += other.ForwardedReads
-	s.MergedWrites += other.MergedWrites
-	s.ReadQueueFullStalls += other.ReadQueueFullStalls
-	s.WriteQueueFullStalls += other.WriteQueueFullStalls
-	s.WriteModeEntries += other.WriteModeEntries
-	s.WriteModeCycles += other.WriteModeCycles
-}

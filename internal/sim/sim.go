@@ -16,6 +16,7 @@ import (
 	"dsarp/internal/dram"
 	"dsarp/internal/power"
 	"dsarp/internal/sched"
+	"dsarp/internal/stats"
 	"dsarp/internal/timing"
 	"dsarp/internal/trace"
 	"dsarp/internal/workload"
@@ -620,12 +621,6 @@ func (s *System) Now() int64 { return s.now }
 // difference to Now() is the cycles the event engine skipped.
 func (s *System) SteppedCycles() int64 { return s.stepped }
 
-// Controllers exposes the per-channel controllers (tests, diagnostics).
-func (s *System) Controllers() []*sched.Controller { return s.ctrls }
-
-// Devices exposes the per-channel DRAM devices.
-func (s *System) Devices() []*dram.Device { return s.devs }
-
 type snapshot struct {
 	cores []cpu.Stats
 	cache []cache.Stats
@@ -642,11 +637,15 @@ func (s *System) snap() snapshot {
 		sn.cache = append(sn.cache, sl.Stats())
 	}
 	for _, d := range s.devs {
-		sn.dram.Add(d.Stats())
+		stats.Add(&sn.dram, d.Stats())
 	}
 	for _, c := range s.ctrls {
-		sn.sched.Add(c.Stats())
+		stats.Add(&sn.sched, c.Stats())
 	}
+	// Every stored result and window baseline carries 0 for this counter
+	// (a known reporting defect). Keep those bytes until the next
+	// exp.SchemaVersion bump, which deletes this line.
+	sn.sched.OpportunisticDrain = 0
 	return sn
 }
 
@@ -667,35 +666,18 @@ func (s *System) result() Result {
 	res := Result{
 		Mechanism:      s.ctrls[0].Policy().Name(),
 		Workload:       cfg.Workload.Name,
-		DRAM:           end.dram.Sub(s.start.dram),
-		Sched:          end.sched.Sub(s.start.sched),
+		DRAM:           stats.Sub(end.dram, s.start.dram),
+		Sched:          stats.Sub(end.sched, s.start.sched),
 		MeasuredCycles: cfg.Measure,
 		SteppedCycles:  s.stepped - s.startStepped,
 	}
 	for i := range s.cores {
-		cs := cpu.Stats{
-			Retired:      end.cores[i].Retired - s.start.cores[i].Retired,
-			CPUCycles:    end.cores[i].CPUCycles - s.start.cores[i].CPUCycles,
-			Loads:        end.cores[i].Loads - s.start.cores[i].Loads,
-			Stores:       end.cores[i].Stores - s.start.cores[i].Stores,
-			MemStallBeat: end.cores[i].MemStallBeat - s.start.cores[i].MemStallBeat,
-		}
+		cs := stats.Sub(end.cores[i], s.start.cores[i])
+		cc := stats.Sub(end.cache[i], s.start.cache[i])
 		res.Cores = append(res.Cores, cs)
 		res.IPC = append(res.IPC, cs.IPC())
-
-		cc := cache.Stats{
-			Accesses:   end.cache[i].Accesses - s.start.cache[i].Accesses,
-			Hits:       end.cache[i].Hits - s.start.cache[i].Hits,
-			Misses:     end.cache[i].Misses - s.start.cache[i].Misses,
-			MSHRMerges: end.cache[i].MSHRMerges - s.start.cache[i].MSHRMerges,
-			Writebacks: end.cache[i].Writebacks - s.start.cache[i].Writebacks,
-		}
 		res.Cache = append(res.Cache, cc)
-		mpki := 0.0
-		if cs.Retired > 0 {
-			mpki = float64(cc.Misses) / float64(cs.Retired) * 1000
-		}
-		res.MPKI = append(res.MPKI, mpki)
+		res.MPKI = append(res.MPKI, mpki(cc, cs))
 	}
 
 	res.Energy = power.Default().Compute(res.DRAM, s.tp, cfg.Measure, s.geom.Ranks*cfg.Channels)
@@ -708,6 +690,15 @@ func (s *System) result() Result {
 		}
 	}
 	return res
+}
+
+// mpki is LLC misses per kilo-instruction; 0 for a core that retired
+// nothing.
+func mpki(cc cache.Stats, cs cpu.Stats) float64 {
+	if cs.Retired == 0 {
+		return 0
+	}
+	return float64(cc.Misses) / float64(cs.Retired) * 1000
 }
 
 // Run executes warmup + measurement and returns the windowed result. If

@@ -7,6 +7,7 @@ import (
 	"dsarp/internal/cache"
 	"dsarp/internal/cpu"
 	"dsarp/internal/snap"
+	"dsarp/internal/stats"
 )
 
 // CanSnapshot reports whether this system's configuration supports
@@ -189,57 +190,30 @@ func RestoreSystem(cfg Config, data []byte) (*System, error) {
 // boundary: the cumulative per-core, per-slice, DRAM, and controller
 // counters result() subtracts from the end-of-run totals.
 func appendWindow(w *snap.Writer, sn *snapshot) {
-	for _, cs := range sn.cores {
-		for _, v := range []int64{cs.Retired, cs.CPUCycles, cs.Loads, cs.Stores, cs.MemStallBeat} {
-			w.I64(v)
-		}
-	}
-	for _, cc := range sn.cache {
-		for _, v := range []int64{cc.Accesses, cc.Hits, cc.Misses, cc.MSHRMerges, cc.Writebacks} {
-			w.I64(v)
-		}
-	}
-	d := &sn.dram
-	for _, v := range []int64{d.Commands, d.Acts, d.Pres, d.Reads, d.Writes, d.RefABs, d.RefPBs} {
-		w.I64(v)
-	}
-	q := &sn.sched
-	for _, v := range []int64{
-		q.ReadsServed, q.WritesServed, q.ReadLatencySum, q.WriteLatencySum,
-		q.DemandSlots, q.RefreshSlots, q.ForwardedReads, q.MergedWrites,
-		q.ReadQueueFullStalls, q.WriteQueueFullStalls,
-		q.WriteModeEntries, q.WriteModeCycles, q.OpportunisticDrain,
-	} {
-		w.I64(v)
+	for _, p := range sn.counters() {
+		w.I64(*p)
 	}
 }
 
 func loadWindow(r *snap.Reader, sn *snapshot, nCores int) {
 	sn.cores = make([]cpu.Stats, nCores)
-	for i := range sn.cores {
-		cs := &sn.cores[i]
-		for _, p := range []*int64{&cs.Retired, &cs.CPUCycles, &cs.Loads, &cs.Stores, &cs.MemStallBeat} {
-			*p = r.I64()
-		}
-	}
 	sn.cache = make([]cache.Stats, nCores)
+	for _, p := range sn.counters() {
+		*p = r.I64()
+	}
+}
+
+// counters lists the baseline's counters in snapshot order: every core's,
+// every slice's, then the DRAM and controller sums, each in its Stats
+// declaration order.
+func (sn *snapshot) counters() []*int64 {
+	var ps []*int64
+	for i := range sn.cores {
+		ps = append(ps, stats.Counters(&sn.cores[i])...)
+	}
 	for i := range sn.cache {
-		cc := &sn.cache[i]
-		for _, p := range []*int64{&cc.Accesses, &cc.Hits, &cc.Misses, &cc.MSHRMerges, &cc.Writebacks} {
-			*p = r.I64()
-		}
+		ps = append(ps, stats.Counters(&sn.cache[i])...)
 	}
-	d := &sn.dram
-	for _, p := range []*int64{&d.Commands, &d.Acts, &d.Pres, &d.Reads, &d.Writes, &d.RefABs, &d.RefPBs} {
-		*p = r.I64()
-	}
-	q := &sn.sched
-	for _, p := range []*int64{
-		&q.ReadsServed, &q.WritesServed, &q.ReadLatencySum, &q.WriteLatencySum,
-		&q.DemandSlots, &q.RefreshSlots, &q.ForwardedReads, &q.MergedWrites,
-		&q.ReadQueueFullStalls, &q.WriteQueueFullStalls,
-		&q.WriteModeEntries, &q.WriteModeCycles, &q.OpportunisticDrain,
-	} {
-		*p = r.I64()
-	}
+	ps = append(ps, stats.Counters(&sn.dram)...)
+	return append(ps, stats.Counters(&sn.sched)...)
 }

@@ -1,6 +1,7 @@
 // Package stats provides the small numeric helpers the experiment harness
 // uses to summarize per-workload results (means, geometric means, extrema,
-// percentage improvements).
+// percentage improvements), and the counter helpers the simulator uses to
+// window and checkpoint its components' Stats structs (Counters, Sub, Add).
 package stats
 
 import (
