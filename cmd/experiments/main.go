@@ -230,13 +230,13 @@ func selectExperiments(run string) ([]exp.Experiment, error) {
 func listExperiments(r *exp.Runner) {
 	st := r.Options().Store
 	for _, e := range exp.Experiments() {
-		specs := e.Specs(r)
-		line := fmt.Sprintf("%-10s %4d specs", e.Name, len(specs))
+		n := len(e.Specs(r))
+		line := fmt.Sprintf("%-10s %4d specs", e.Name, n)
 		if st != nil {
-			warm := r.WarmCount(specs)
+			warm := r.WarmCount(e)
 			pct := 0.0
-			if len(specs) > 0 {
-				pct = 100 * float64(warm) / float64(len(specs))
+			if n > 0 {
+				pct = 100 * float64(warm) / float64(n)
 			}
 			line += fmt.Sprintf(", %4d warm (%3.0f%%)", warm, pct)
 		}

@@ -86,12 +86,23 @@ type Core struct {
 	// core state and invariant under Skip (which moves the state along the
 	// exact trajectory they were derived from) — so the memo survives skips
 	// and is only dropped when the state actually forks: a Tick ran, or a
-	// load-completion callback arrived.
+	// load-completion callback arrived. Both catch a lazy core up first, so
+	// a dropped memo is always recomputed from state accounted up to the
+	// cycle it is asked about.
 	evCached     int64
 	evValid      bool
 	trajMode     int8  // stallNone/stallWindow/stallMSHR at classification
 	trajB        int64 // first incomplete load position (-1 none)
 	trajBeatFrom int64 // absolute cpuCycles before the first beat tick
+
+	// Lazy clock (SetHorizon). at is the DRAM cycle the core has accounted
+	// up to; horizon points at the cycle its owner needs it accounted up
+	// to. Nothing ticks or skips a core that has no event: the elided
+	// cycles pile up as the gap between at and the horizon, and catchUp
+	// replays them in one Skip when the core is next touched. A nil
+	// horizon is eager accounting: Tick replays each elided cycle itself.
+	horizon *int64
+	at      int64
 
 	stats Stats
 }
@@ -130,8 +141,34 @@ func New(id int, cfg Config, gen trace.Generator, maxOutstanding int, base uint6
 // ID returns the core's index.
 func (c *Core) ID() int { return c.id }
 
-// Stats returns progress counters.
+// SetHorizon switches the core to lazy accounting against the owner's
+// horizon h, counting the cycles before *h as already accounted. From then
+// on the owner never ticks or skips the core while it has no event; it
+// keeps *h at the cycle up to which the core's state must be current
+// whenever something can read or change it (t during the slice and core
+// phases of cycle t, t+1 once the core phase ends). The core catches up
+// to *h on contact: its own Tick, a load completion, Stats and
+// AppendState.
+func (c *Core) SetHorizon(h *int64) {
+	c.horizon = h
+	c.at = *h
+}
+
+// catchUp replays the cycles between the core's clock and the horizon in
+// one Skip. The engine left the core alone only while its NextEvent lay
+// past them, and nothing reached it since, so the trajectory classified
+// at its last touch covers the whole gap.
+func (c *Core) catchUp() {
+	if c.horizon != nil && c.at < *c.horizon {
+		c.Skip(*c.horizon - c.at)
+		c.at = *c.horizon
+	}
+}
+
+// Stats returns progress counters, catching a lazy core up to its horizon
+// first.
 func (c *Core) Stats() Stats {
+	c.catchUp()
 	s := c.stats
 	s.Retired = c.retired
 	s.CPUCycles = c.cpuCycles
@@ -143,20 +180,25 @@ func (c *Core) Stats() Stats {
 //
 // Tick first consults its own NextEvent: when the next slice access (or
 // generator draw) provably lies beyond this DRAM cycle, the whole cycle is
-// the linear trajectory Skip replays — the same substitution the selective
-// stepper makes from outside, now made inside Tick so the blind-stepping
-// saturation fallback gets it too. This subsumes the dedicated stall fast
-// paths: a stalled core classifies as stallWindow/stallMSHR and replays its
-// wait counters in O(1), with the NextEvent memo carrying across cycles
-// until a load-completion callback forks the state. When the access attempt
-// falls inside this cycle at sub-tick k, the k-1 pure sub-ticks before it
-// advance by the same closed form and only the remainder runs the
-// cycle-accurate loop.
+// the linear trajectory Skip replays. An eager core replays it here; a lazy
+// core (SetHorizon) returns untouched and leaves the cycle to its next
+// catch-up, so the blind-stepping saturation fallback pays nothing for an
+// idle core either. This subsumes the dedicated stall fast paths: a stalled
+// core classifies as stallWindow/stallMSHR and replays its wait counters in
+// O(1), with the NextEvent memo carrying across cycles until a
+// load-completion callback forks the state. A core with an event first
+// catches up to now (lazy only). When the access attempt falls inside this
+// cycle at sub-tick k, the k-1 pure sub-ticks before it advance by the same
+// closed form and only the remainder runs the cycle-accurate loop.
 func (c *Core) Tick(now int64) {
 	if c.NextEvent(now) > now {
-		c.Skip(1)
+		if c.horizon == nil {
+			c.Skip(1)
+		}
 		return
 	}
+	c.catchUp() // the horizon stands at now during the core phase
+	c.at = now + 1
 	// trajMode and trajB are fresh from the NextEvent classification above.
 	if c.trajMode == stallNone && c.haveNext && c.burstQuantum != 0 &&
 		(c.trajB < 0 || c.nextPos < c.trajB+int64(c.cfg.Window)) {
@@ -321,7 +363,10 @@ func (c *Core) nextEvent(now int64) int64 {
 // tick the dispatch loop first parks on a full-MSHR load; and completed
 // loads that retirement passed are popped exactly as the per-cycle retire
 // loop would (an entry whose position equals the final retired count has
-// not been retired yet and stays).
+// not been retired yet and stays). Skips compose: Skip(a) then Skip(b)
+// equals Skip(a+b), which is what lets a lazy core replay any gap in one
+// call. The owner of an eager core calls it for each elided window; a lazy
+// core calls it on itself when it catches up, and nothing else may.
 func (c *Core) Skip(cycles int64) {
 	if !c.evValid {
 		c.nextEvent(0) // classify the trajectory (result cycle unused)
@@ -378,6 +423,16 @@ func (c *Core) advanceCPUTicks(n int64) {
 		c.freeLoads = append(c.freeLoads, c.loads[c.loadHead])
 		c.popLoad()
 	}
+}
+
+// complete is a load's completion callback: the data has returned. The
+// memory system changes a core's state from outside only through it, so a
+// lazy core catches up to the horizon before its trajectory forks.
+func (c *Core) complete(ld *loadEntry) {
+	c.catchUp()
+	ld.done = true
+	c.outstanding--
+	c.evValid = false
 }
 
 func (c *Core) cpuTick(now int64) {
@@ -449,11 +504,7 @@ func (c *Core) cpuTick(now int64) {
 				ld.pos, ld.done = c.issued, false
 			} else {
 				ld = &loadEntry{pos: c.issued}
-				ld.onDone = func(int64) {
-					ld.done = true
-					c.outstanding--
-					c.evValid = false
-				}
+				ld.onDone = func(int64) { c.complete(ld) }
 			}
 			if !c.mem.Access(now, addr, false, uint64(ld.pos), ld.onDone) {
 				c.freeLoads = append(c.freeLoads, ld)

@@ -8,11 +8,15 @@ import (
 
 // AppendState writes the core's mutable state: progress counters, the
 // in-flight load entries in program order, the buffered next access, and
-// the trace generator's stream position. The NextEvent memo and skip
-// trajectory are derived state and deliberately omitted — LoadState drops
-// them and the next NextEvent recomputes identical answers from the same
-// fields, so resumed runs step exactly like cold ones.
+// the trace generator's stream position. A lazy core catches up to its
+// horizon first, so the bytes are those of an eagerly accounted core. The
+// NextEvent memo, the skip trajectory and the lazy clock are derived state
+// and deliberately omitted — LoadState drops the first two and sets the
+// clock to the horizon, and the next NextEvent recomputes identical
+// answers from the same fields, so resumed runs step exactly like cold
+// ones.
 func (c *Core) AppendState(w *snap.Writer) {
+	c.catchUp()
 	w.I64(c.issued)
 	w.I64(c.retired)
 	w.I64(c.cpuCycles)
@@ -40,7 +44,9 @@ func (c *Core) AppendState(w *snap.Writer) {
 // LoadState restores the state written by AppendState onto a freshly
 // constructed core with the same configuration and generator. Load
 // completion callbacks are rebuilt here; the cache slice re-links its
-// pending deliveries to them via CompletionFor.
+// pending deliveries to them via CompletionFor. A lazy core's owner sets
+// the horizon to the snapshot's cycle before calling it: the restored
+// state counts as accounted up to there.
 func (c *Core) LoadState(r *snap.Reader) error {
 	c.issued = r.I64()
 	c.retired = r.I64()
@@ -68,11 +74,7 @@ func (c *Core) LoadState(r *snap.Reader) error {
 	c.outstanding = 0
 	for i := 0; i < n; i++ {
 		ld := &loadEntry{pos: r.I64(), done: r.Bool()}
-		ld.onDone = func(int64) {
-			ld.done = true
-			c.outstanding--
-			c.evValid = false
-		}
+		ld.onDone = func(int64) { c.complete(ld) }
 		if !ld.done {
 			c.outstanding++
 		}
@@ -82,6 +84,9 @@ func (c *Core) LoadState(r *snap.Reader) error {
 		return fmt.Errorf("cpu: snapshot has %d outstanding misses, core allows %d", c.outstanding, c.maxOut)
 	}
 	c.evValid = false
+	if c.horizon != nil {
+		c.at = *c.horizon
+	}
 	gen, ok := c.gen.(snap.Codec)
 	if !ok {
 		return fmt.Errorf("cpu: generator %T does not serialize", c.gen)

@@ -181,6 +181,9 @@ type Runner struct {
 	snapPublish atomic.Pointer[func(store.Key, []byte)]
 
 	progressMu sync.Mutex // serializes the Progress callback
+
+	// enums memoizes each experiment's enumeration by name (see enumerate).
+	enums sync.Map
 }
 
 // inflight is a computation another worker is already performing; waiters

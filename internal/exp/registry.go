@@ -2,6 +2,7 @@ package exp
 
 import (
 	"fmt"
+	"slices"
 	"sync/atomic"
 
 	"dsarp/internal/core"
@@ -77,10 +78,11 @@ func (res lookup) wsSeries(r *Runner, ws []workload.Workload, k core.Kind, d tim
 
 // recorder is the lookup behind Specs. It keeps each spec once, by key:
 // runs in the order the assembly first reads them, alone runs apart so
-// that they list last.
+// that they list last. It keeps each spec's key alongside it.
 type recorder struct {
-	runs, alones []SimSpec
-	seen         map[store.Key]bool
+	runs, alones       []SimSpec
+	runKeys, aloneKeys []store.Key
+	seen               map[store.Key]bool
 }
 
 func (rec *recorder) find(s SimSpec, alone bool) sim.Result {
@@ -88,11 +90,41 @@ func (rec *recorder) find(s SimSpec, alone bool) sim.Result {
 		rec.seen[k] = true
 		if alone {
 			rec.alones = append(rec.alones, s)
+			rec.aloneKeys = append(rec.aloneKeys, k)
 		} else {
 			rec.runs = append(rec.runs, s)
+			rec.runKeys = append(rec.runKeys, k)
 		}
 	}
 	return sim.Result{IPC: make([]float64, len(s.Benchmarks))}
+}
+
+// enumeration is an experiment's spec list and each spec's key, in list
+// order: what the recorder collects from one run of the assembly.
+type enumeration struct {
+	specs []SimSpec
+	keys  []store.Key
+}
+
+// enumerate returns the runner's enumeration of e, running the assembly
+// against a recorder only if no enumeration is stored yet. A runner's
+// options and workloads never change, so neither does the list. At paper
+// scale a whole-registry enumeration hashes about 126,000 spec keys, most
+// of a second, which repeated listings and runs would pay each time.
+// Concurrent first callers may each run it; they build identical lists,
+// and the first one stored wins. The result is shared: callers copy
+// before handing it out.
+func (r *Runner) enumerate(e Experiment) *enumeration {
+	if v, ok := r.enums.Load(e.Name); ok {
+		return v.(*enumeration)
+	}
+	rec := recorder{seen: map[store.Key]bool{}}
+	e.assemble(r, rec.find)
+	v, _ := r.enums.LoadOrStore(e.Name, &enumeration{
+		specs: append(rec.runs, rec.alones...),
+		keys:  append(rec.runKeys, rec.aloneKeys...),
+	})
+	return v.(*enumeration)
 }
 
 // Experiment is one published artifact of the reproduction — a table or
@@ -119,11 +151,11 @@ type Experiment struct {
 // them, then the alone runs. It runs the assembly against a recorder (see
 // lookup), so the list holds exactly the specs Assemble reads. The runner
 // supplies only scale and workload context (options, mixes); no
-// simulation runs.
+// simulation runs. The list is enumerated once per runner; each call
+// returns a fresh copy of it, whose specs share their Benchmarks slices
+// with the runner's workloads (read-only, as for every spec it builds).
 func (e Experiment) Specs(r *Runner) []SimSpec {
-	rec := recorder{seen: map[store.Key]bool{}}
-	e.assemble(r, rec.find)
-	return append(rec.runs, rec.alones...)
+	return slices.Clone(r.enumerate(e).specs)
 }
 
 // Assemble renders the experiment from a result map holding (at least)
@@ -174,22 +206,23 @@ func Experiments() []Experiment {
 	return out
 }
 
-// WarmCount reports how many of the specs already have an entry in the
-// runner's store (0 without one) — the shared definition of "warm" behind
-// cmd/experiments -list and GET /v1/experiments. Existence probes only; no
-// payloads are read and LRU state is untouched. The dominant cost is Key()
-// — a SHA-256 over each spec's full benchmark profiles — so the probes fan
-// out over the runner's worker pool, and enumerating a whole registry of
-// experiments against a large store stays interactive. Like every forEach
-// caller, it skips the remaining probes after Interrupt.
-func (r *Runner) WarmCount(specs []SimSpec) int {
+// WarmCount reports how many of the experiment's specs already have an
+// entry in the runner's store (0 without one) — the shared definition of
+// "warm" behind cmd/experiments -list and GET /v1/experiments. Existence
+// probes only, against the keys memoized with the spec list: no key is
+// hashed after the first enumeration, no payload is read and LRU state is
+// untouched. A probe that misses the store's index stats the disk, so the
+// probes fan out over the runner's worker pool. Like every forEach caller,
+// it skips the remaining probes after Interrupt.
+func (r *Runner) WarmCount(e Experiment) int {
 	st := r.opts.Store
 	if st == nil {
 		return 0
 	}
+	keys := r.enumerate(e).keys
 	var warm atomic.Int64
-	r.forEach(len(specs), func(i int) {
-		if st.Contains(specs[i].Key()) {
+	r.forEach(len(keys), func(i int) {
+		if st.Contains(keys[i]) {
 			warm.Add(1)
 		}
 	})

@@ -4,7 +4,9 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
+	"sync"
 	"testing"
 
 	"dsarp/internal/timing"
@@ -202,6 +204,58 @@ func TestSpecsAreCanonicalAndUnique(t *testing.T) {
 			}
 			if prepared.Key() != spec.Key() {
 				t.Errorf("%s: spec %d not canonical: key changed under PrepareSpec (%s)", e.Name, i, spec.label())
+			}
+		}
+	}
+}
+
+// TestSpecsMemoizedPerRunner: a runner enumerates each experiment once,
+// also when several goroutines ask for it first at the same time. Every
+// Specs call returns the list a fresh runner enumerates, as a copy the
+// caller may change, and the memoized keys WarmCount probes are the
+// listed specs' own keys.
+func TestSpecsMemoizedPerRunner(t *testing.T) {
+	opts := registryOpts()
+	opts.Store = openStore(t)
+	r := NewRunner(opts)
+	exps := Experiments()
+	lists := make([][][]SimSpec, 4)
+	warm := make([][]int, len(lists))
+	var wg sync.WaitGroup
+	for g := range lists {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for _, e := range exps {
+				lists[g] = append(lists[g], e.Specs(r))
+				warm[g] = append(warm[g], r.WarmCount(e))
+			}
+		}()
+	}
+	wg.Wait()
+	for i, e := range exps {
+		want := e.Specs(NewRunner(registryOpts()))
+		for g := range lists {
+			if !reflect.DeepEqual(lists[g][i], want) {
+				t.Fatalf("%s: caller %d got a list that differs from a fresh runner's", e.Name, g)
+			}
+			if warm[g][i] != 0 {
+				t.Errorf("%s: caller %d counts %d warm specs in an empty store", e.Name, g, warm[g][i])
+			}
+		}
+		if len(want) > 0 {
+			lists[0][i][0].Name = "changed by the caller"
+		}
+		if got := e.Specs(r); !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s: a caller's change to its copy reached the memo", e.Name)
+		}
+		keys := r.enumerate(e).keys
+		if len(keys) != len(want) {
+			t.Fatalf("%s: %d keys for %d specs", e.Name, len(keys), len(want))
+		}
+		for j, spec := range want {
+			if keys[j] != spec.Key() {
+				t.Errorf("%s: key %d is not spec %d's key", e.Name, j, j)
 			}
 		}
 	}

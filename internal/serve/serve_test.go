@@ -633,6 +633,34 @@ func TestExperimentEndpoints(t *testing.T) {
 	}
 }
 
+// TestExperimentListingRepeats: the runner memoizes each experiment's spec
+// list and keys, so a second listing must answer from the memo with the
+// same bytes as the first, and both must count what a fresh runner
+// enumerates.
+func TestExperimentListingRepeats(t *testing.T) {
+	s := newService(t, tinyOpts(), Config{Workers: 1, MaxQueue: 4}, nil)
+	_, first := s.get(t, "/v1/experiments")
+	_, second := s.get(t, "/v1/experiments")
+	if !bytes.Equal(first, second) {
+		t.Fatalf("second listing differs from the first:\n first: %s\nsecond: %s", first, second)
+	}
+	var l struct {
+		Experiments []struct {
+			Name      string `json:"name"`
+			SpecCount int    `json:"spec_count"`
+		} `json:"experiments"`
+	}
+	if err := json.Unmarshal(second, &l); err != nil {
+		t.Fatal(err)
+	}
+	fresh := exp.NewRunner(tinyOpts())
+	for i, e := range exp.Experiments() {
+		if got, want := l.Experiments[i].SpecCount, len(e.Specs(fresh)); got != want {
+			t.Errorf("%s: listed %d specs, a fresh runner enumerates %d", e.Name, got, want)
+		}
+	}
+}
+
 // TestExperimentZeroSpecs: the analytic fig5 is a zero-spec job — born
 // done, table immediately available, no queue slots consumed.
 func TestExperimentZeroSpecs(t *testing.T) {

@@ -525,15 +525,14 @@ func (s *Server) handleExperimentList(w http.ResponseWriter, _ *http.Request) {
 	st := s.runner.Options().Store
 	var infos []experimentInfo
 	for _, e := range exp.Experiments() {
-		specs := e.Specs(s.runner)
 		info := experimentInfo{
 			Name:      e.Name,
 			Title:     e.Title,
-			SpecCount: len(specs),
+			SpecCount: len(e.Specs(s.runner)),
 			RunURL:    "/v1/experiments/" + e.Name,
 		}
 		if st != nil {
-			warm := s.runner.WarmCount(specs)
+			warm := s.runner.WarmCount(e)
 			info.WarmCount = &warm
 		}
 		infos = append(infos, info)

@@ -29,11 +29,13 @@ const (
 	// EngineEvent is the event-driven clock-skipping engine (the default):
 	// the run loop advances time directly to the earliest cycle at which any
 	// component can do something, falling back to cycle stepping whenever a
-	// component answers "now". Bit-identical to EngineCycle by construction
-	// of the NextEvent contract (pinned by the engine-equivalence tests).
+	// component answers "now". Cores run lazy clocks (System.horizon): the
+	// engine never touches a core without an event. Bit-identical to
+	// EngineCycle by construction of the NextEvent contract (pinned by the
+	// engine-equivalence tests).
 	EngineEvent Engine = iota
 	// EngineCycle is the reference per-cycle stepper: every component ticks
-	// on every DRAM cycle.
+	// on every DRAM cycle, and every core accounts each cycle eagerly.
 	EngineCycle
 )
 
@@ -199,6 +201,17 @@ type System struct {
 	stepped int64 // cycles actually ticked (the rest were skipped)
 	nextID  int64
 
+	// horizon is the cycle up to which the cores' state must be accounted
+	// whenever something can read or change it: t during the slice and
+	// core phases of cycle t, t+1 once the core phase ends, so now between
+	// cycles. Under EngineEvent every core runs a lazy clock against it
+	// (cpu.Core.SetHorizon): the engine never touches a core that has no
+	// event, and the core replays its elided cycles when next touched.
+	// Under EngineCycle no core reads it and every core accounts eagerly,
+	// which keeps the cycle engine the reference the lazy clocks are
+	// tested against.
+	horizon int64
+
 	// hot identifies the component that most recently forced a step
 	// (demanded its NextEvent cycle immediately). Active components tend to
 	// stay active for runs of cycles, so NextEvent probes it first and
@@ -291,6 +304,9 @@ func NewSystem(cfg Config) (*System, error) {
 		slice := cache.NewSlice(cfg.Cache, port)
 		gen := trace.New(prof, cfg.Seed*1_000_003+int64(i))
 		c := cpu.New(i, cfg.CPU, gen, prof.MaxOutstanding, uint64(i+1)*coreBaseStride, slice)
+		if cfg.Engine == EngineEvent {
+			c.SetHorizon(&s.horizon)
+		}
 		s.slices = append(s.slices, slice)
 		s.cores = append(s.cores, c)
 	}
@@ -324,7 +340,10 @@ func (p *memPort) WriteLine(addr uint64) bool {
 	return s.ctrls[ch].EnqueueWrite(req, s.now)
 }
 
-// Step advances the whole system one DRAM cycle.
+// Step advances the whole system one DRAM cycle. Every component ticks;
+// under EngineEvent a core's Tick returns untouched when it has no event
+// (its lazy clock defers the cycle), so Step never replays a core's
+// accounting.
 func (s *System) Step() {
 	t := s.now
 	for _, sl := range s.slices {
@@ -333,6 +352,7 @@ func (s *System) Step() {
 	for _, c := range s.cores {
 		c.Tick(t)
 	}
+	s.horizon = t + 1
 	for _, ctrl := range s.ctrls {
 		ctrl.Tick(t)
 	}
@@ -396,34 +416,33 @@ func (s *System) NextEvent(limit int64) int64 {
 	return t
 }
 
-// SkipTo advances the clock to cycle t (> s.Now()) without ticking,
-// replaying each component's per-cycle accounting for the elided window.
-// The caller must have established via NextEvent that the window [now, t)
-// is eventless.
+// SkipTo advances the clock to cycle t (> s.Now()) without ticking. The
+// controllers replay their per-cycle accounting for the elided window
+// here; the cores do not need it, since the horizon moves to t with the
+// clock and each core replays the window when it is next touched. The
+// caller must have established via NextEvent that the window [now, t) is
+// eventless.
 func (s *System) SkipTo(t int64) {
-	skip := t - s.now
-	if skip <= 0 {
+	if t <= s.now {
 		return
-	}
-	for _, c := range s.cores {
-		c.Skip(skip)
 	}
 	for _, ctrl := range s.ctrls {
 		ctrl.Skip(s.now, t)
 	}
-	s.now = t
+	s.now, s.horizon = t, t
 }
 
 // stepSelective advances one DRAM cycle ticking only the components that
-// have an event at it; everything else gets its one elided Tick replayed by
-// Skip. Each phase evaluates NextEvent at its own position in the cycle, so
-// a component's decision sees exactly the state its Tick would have seen in
-// the plain stepper: a slice decides from top-of-cycle state, a core sees
-// hit callbacks the slice phase just delivered, a controller sees the
-// enqueues the core phase just made (and completion callbacks an earlier
-// controller's tick routed across channels). It returns the number of
-// Ticks it avoided — zero means the cycle was saturated and selectivity
-// bought nothing.
+// have an event at it. A controller without one gets its elided Tick
+// replayed by Skip; a core without one is not touched at all (its lazy
+// clock defers the cycle). Each phase evaluates NextEvent at its own
+// position in the cycle, so a component's decision sees exactly the state
+// its Tick would have seen in the plain stepper: a slice decides from
+// top-of-cycle state, a core sees hit callbacks the slice phase just
+// delivered, a controller sees the enqueues the core phase just made (and
+// completion callbacks an earlier controller's tick routed across
+// channels). It returns the number of Ticks it avoided — zero means the
+// cycle was saturated and selectivity bought nothing.
 func (s *System) stepSelective() int {
 	t := s.now
 	avoided := 0
@@ -435,17 +454,16 @@ func (s *System) stepSelective() int {
 	for _, c := range s.cores {
 		if e := c.NextEvent(t); e <= t {
 			c.Tick(t)
-		} else {
-			c.Skip(1)
-			if e != math.MaxInt64 {
-				// A compute-bursting core's Tick (CPUPerDRAM full retire/
-				// dispatch rounds) was avoided. A stalled core (MaxInt64)
-				// is not counted: its Tick is already a two-compare fast
-				// path, so avoiding it pays for nothing.
-				avoided++
-			}
+		} else if e != math.MaxInt64 {
+			// A compute-bursting core's Tick (CPUPerDRAM full retire/
+			// dispatch rounds) was avoided. A stalled core (MaxInt64) is
+			// not counted: the count steers the saturation fallback, so
+			// this rule is part of the SteppedCycles that results and
+			// snapshots pin.
+			avoided++
 		}
 	}
+	s.horizon = t + 1
 	for _, ctrl := range s.ctrls {
 		if ctrl.NextEvent(t) <= t {
 			ctrl.Tick(t)

@@ -103,6 +103,7 @@ func RestoreSystem(cfg Config, data []byte) (*System, error) {
 		return nil, err
 	}
 	s.now = r.I64()
+	s.horizon = s.now // the cores' LoadState counts their state accounted to here
 	s.stepped = r.I64()
 	s.nextID = r.I64()
 	s.loopSat = r.Int()
