@@ -27,7 +27,10 @@
 // The store records the exp.SchemaVersion generation: reopening a store
 // written under an older schema sweeps its (unreachable) entries at
 // startup. Completed results are not retained in RAM — the store is the
-// cache — so memory stays flat however many unique specs are served.
+// cache — so memory stays flat however many unique specs are served. A
+// computed result is written to the store behind its reply: a worker
+// replies, then waits for that write before taking its next task, and a
+// job counts the task done only once it has landed.
 //
 // Jobs are crash-durable when a store is configured: every job's header
 // (its ID and spec list) is written under <store>/jobs, and a restarted

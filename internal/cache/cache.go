@@ -2,6 +2,13 @@
 // 16-way, 64 B-line, 512 KB private slice per core (paper Table 1). Misses
 // become DRAM reads; dirty evictions become DRAM writes — the write traffic
 // that DARP's write-refresh parallelization hides refreshes behind.
+//
+// The tag store is flat: per-way tag, LRU stamp and dirty arrays indexed
+// set*Ways+way, plus a per-set count of valid lines. Nothing invalidates a
+// line and a fill takes the first invalid way, so a set's valid lines are
+// always a prefix of its ways: a probe scans only that prefix of one
+// contiguous tag row, and a fill into a set that is not yet full takes way
+// valid[set] without a victim search.
 package cache
 
 import (
@@ -36,13 +43,6 @@ type Backend interface {
 	WriteLine(addr uint64) bool
 }
 
-type line struct {
-	tag   uint64
-	valid bool
-	dirty bool
-	used  int64 // LRU timestamp
-}
-
 // waiter is one access awaiting an outstanding fill. tag identifies the
 // requesting load at the core (its instruction position) so a restored
 // snapshot can re-link fn, which does not serialize.
@@ -62,12 +62,19 @@ type mshrEntry struct {
 	onFill func(at int64)
 }
 
-// Slice is one core's private LLC slice.
+// Slice is one core's private LLC slice. Way w of set i lives at index
+// i*Ways+w of tags, used and dirty; only the first valid[i] ways of set i
+// hold lines, and the rest stay zero.
 type Slice struct {
-	cfg     Config
-	sets    [][]line
-	mru     []uint16 // per-set way of the last hit: probed before the scan
+	cfg   Config
+	tags  []uint64 // line address of each way
+	used  []int64  // LRU stamp of each way
+	dirty []bool
+	valid []uint16 // per-set count of valid lines: its first ways
+	mru   []uint16 // per-set way of the last hit: probed before the scan
+	// setMask selects a line's set; ways is cfg.Ways.
 	setMask uint64
+	ways    int
 	// mshr chains the outstanding fills of each set (a few entries at most,
 	// almost always zero or one), replacing a lineAddr-keyed map: the probe
 	// on every miss becomes a short pointer walk instead of a hash.
@@ -121,16 +128,19 @@ func NewSlice(cfg Config, backend Backend) *Slice {
 	if nSets <= 0 || nSets&(nSets-1) != 0 {
 		panic(fmt.Sprintf("cache: set count %d must be a positive power of two", nSets))
 	}
-	sets := make([][]line, nSets)
-	backing := make([]line, nSets*cfg.Ways)
-	for i := range sets {
-		sets[i], backing = backing[:cfg.Ways], backing[cfg.Ways:]
+	if cfg.Ways > math.MaxUint16 {
+		panic(fmt.Sprintf("cache: %d ways exceed the per-set count's range", cfg.Ways))
 	}
+	lines := nSets * cfg.Ways
 	return &Slice{
 		cfg:       cfg,
-		sets:      sets,
+		tags:      make([]uint64, lines),
+		used:      make([]int64, lines),
+		dirty:     make([]bool, lines),
+		valid:     make([]uint16, nSets),
 		mru:       make([]uint16, nSets),
 		setMask:   uint64(nSets - 1),
+		ways:      cfg.Ways,
 		mshr:      make([]*mshrEntry, nSets),
 		nextHitAt: math.MaxInt64,
 		backend:   backend,
@@ -151,16 +161,18 @@ func (s *Slice) Access(now int64, addr uint64, write bool, tag uint64, onDone fu
 	// simplest and unambiguous.
 	ltag := lineAddr
 	si := lineAddr & s.setMask
-	set := s.sets[si]
+	base := int(si) * s.ways
+	tags := s.tags[base : base+int(s.valid[si])]
 
 	s.tick++
 	// Probe the set's most recently hit way first (tags are unique within a
-	// set, so probe order cannot change the outcome), then scan.
+	// set, so probe order cannot change the outcome), then scan the valid
+	// ways.
 	way := int(s.mru[si])
-	if !(set[way].valid && set[way].tag == ltag) {
+	if !(way < len(tags) && tags[way] == ltag) {
 		way = -1
-		for i := range set {
-			if set[i].valid && set[i].tag == ltag {
+		for i, t := range tags {
+			if t == ltag {
 				way = i
 				break
 			}
@@ -168,9 +180,9 @@ func (s *Slice) Access(now int64, addr uint64, write bool, tag uint64, onDone fu
 	}
 	if way >= 0 {
 		s.mru[si] = uint16(way)
-		set[way].used = s.tick
+		s.used[base+way] = s.tick
 		if write {
-			set[way].dirty = true
+			s.dirty[base+way] = true
 		}
 		s.stats.Accesses++
 		s.stats.Hits++
@@ -229,10 +241,10 @@ func (s *Slice) Access(now int64, addr uint64, write bool, tag uint64, onDone fu
 	return true
 }
 
-// fill installs a returned line, evicting the LRU way (dirty victims are
-// written back), and wakes the miss's waiters. The entry returns to the
-// free list afterwards: its waiters have been delivered and its fill
-// callback cannot fire again.
+// fill installs a returned line in the set's first invalid way or, in a
+// full set, over the LRU way (dirty victims are written back), and wakes
+// the miss's waiters. The entry returns to the free list afterwards: its
+// waiters have been delivered and its fill callback cannot fire again.
 func (s *Slice) fill(now int64, e *mshrEntry) {
 	lineAddr := e.lineAddr
 	si := lineAddr & s.setMask
@@ -247,22 +259,26 @@ func (s *Slice) fill(now int64, e *mshrEntry) {
 	}
 	e.next = nil
 
-	set := s.sets[si]
-	victim := 0
-	for i := range set {
-		if !set[i].valid {
-			victim = i
-			break
+	base := int(si) * s.ways
+	victim := int(s.valid[si])
+	if victim < s.ways {
+		s.valid[si]++
+	} else {
+		used := s.used[base : base+s.ways]
+		victim = 0
+		for i, u := range used {
+			if u < used[victim] {
+				victim = i
+			}
 		}
-		if set[i].used < set[victim].used {
-			victim = i
+		if s.dirty[base+victim] {
+			s.writeback(s.tags[base+victim] * uint64(s.cfg.LineBytes))
 		}
-	}
-	if set[victim].valid && set[victim].dirty {
-		s.writeback(set[victim].tag * uint64(s.cfg.LineBytes))
 	}
 	s.tick++
-	set[victim] = line{tag: lineAddr, valid: true, dirty: e.dirty, used: s.tick}
+	s.tags[base+victim] = lineAddr
+	s.used[base+victim] = s.tick
+	s.dirty[base+victim] = e.dirty
 
 	for _, w := range e.waiters {
 		w.fn(now)

@@ -17,13 +17,11 @@ import (
 // omitted.
 //
 // The tag store is written sparsely: only the sets that hold a valid
-// line, each as set index, MRU way and line count, then tag, dirty bit and
-// LRU stamp per valid line. The format relies on a set's valid lines being
-// a prefix of its ways: fill takes the first invalid way and nothing
-// invalidates a line. Every other way is the zero line a fresh slice
-// already holds (an invalid way's fields are never read), so the snapshot
-// grows with the touched footprint rather than the slice size, and a full
-// set costs what the dense layout did. Pending fills are written as one
+// line, each as set index, MRU way and valid-line count, then tag, dirty
+// bit and LRU stamp per valid line. A set's valid lines are a prefix of
+// its ways (see the package comment) and every other way is the zero way
+// a fresh slice already holds, so the snapshot grows with the touched
+// footprint rather than the slice size. Pending fills are written as one
 // entry count, then the entries in set order and, within a set, in chain
 // order; each entry's set follows from its line address.
 func (s *Slice) AppendState(w *snap.Writer) {
@@ -32,24 +30,23 @@ func (s *Slice) AppendState(w *snap.Writer) {
 		w.I64(*p)
 	}
 	occupied := 0
-	for _, set := range s.sets {
-		if set[0].valid {
+	for _, n := range s.valid {
+		if n > 0 {
 			occupied++
 		}
 	}
 	w.Int(occupied)
-	for si, set := range s.sets {
-		n := validPrefix(set)
+	for si, n := range s.valid {
 		if n == 0 {
 			continue
 		}
 		w.Int(si)
 		w.Int(int(s.mru[si]))
-		w.Int(n)
-		for _, ln := range set[:n] {
-			w.U64(ln.tag)
-			w.Bool(ln.dirty)
-			w.I64(ln.used)
+		w.Int(int(n))
+		for way := si * s.ways; way < si*s.ways+int(n); way++ {
+			w.U64(s.tags[way])
+			w.Bool(s.dirty[way])
+			w.I64(s.used[way])
 		}
 	}
 	wbs := s.pendingWB[s.wbHead:]
@@ -82,19 +79,21 @@ func (s *Slice) AppendState(w *snap.Writer) {
 	}
 }
 
-// validPrefix counts a set's valid lines, which occupy its first ways.
-func validPrefix(set []line) int {
-	for i := range set {
-		if !set[i].valid {
-			return i
+// StateSizeHint is how many bytes AppendState writes for the tag store:
+// the part of a slice's state that grows as the slice fills.
+func (s *Slice) StateSizeHint() int {
+	n := 0
+	for _, valid := range s.valid {
+		if valid > 0 {
+			n += 3*8 + int(valid)*(8+1+8) // set header, then each line
 		}
 	}
-	return len(set)
+	return n
 }
 
 // LoadState restores the state written by AppendState onto a freshly
-// built slice of the same configuration (its ways must still be zero
-// lines). resolve maps a waiter tag back to the owning core's completion
+// built slice of the same configuration (every set must still be empty).
+// resolve maps a waiter tag back to the owning core's completion
 // callback (the core must be restored first). Every decoded index and
 // count is range-checked and every loop stops at the first read error, so
 // corrupt input yields an error rather than a slice that panics later.
@@ -103,7 +102,7 @@ func (s *Slice) LoadState(r *snap.Reader, resolve func(tag uint64) (func(now int
 	for _, p := range stats.Counters(&s.stats) {
 		*p = r.I64()
 	}
-	nSets, ways := len(s.sets), s.cfg.Ways
+	nSets, ways := len(s.valid), s.ways
 	// Set indices must be strictly increasing, which also rules out
 	// duplicates.
 	occupied, err := readInt(r, 0, nSets+1, "occupied set count")
@@ -124,9 +123,9 @@ func (s *Slice) LoadState(r *snap.Reader, resolve func(tag uint64) (func(now int
 		if err != nil {
 			return err
 		}
-		set := s.sets[si]
-		for way := 0; way < n; way++ {
-			set[way] = line{tag: r.U64(), valid: true, dirty: r.Bool(), used: r.I64()}
+		s.valid[si] = uint16(n)
+		for way := si * ways; way < si*ways+n; way++ {
+			s.tags[way], s.dirty[way], s.used[way] = r.U64(), r.Bool(), r.I64()
 		}
 	}
 	s.pendingWB = s.pendingWB[:0]

@@ -112,7 +112,7 @@ func FuzzSliceLoadState(f *testing.F) {
 		if err != nil {
 			f.Fatalf("slice%d section does not load: %v", i, err)
 		}
-		w := snap.NewWriter()
+		w := snap.NewWriter(0)
 		w.Section("slice")
 		sl.AppendState(w)
 		if !bytes.Equal(sectionBody(f, w.Finish(), "slice"), seed) {
@@ -206,7 +206,7 @@ func TestLoadStateRejectsCorruptSections(t *testing.T) {
 			}
 		}},
 	} {
-		w := snap.NewWriter()
+		w := snap.NewWriter(0)
 		w.Section("slice")
 		tc.write(w)
 		r, err := snap.NewReader(w.Finish())

@@ -76,7 +76,7 @@ func (m *scriptedMem) next() int64 {
 }
 
 func coreBytes(c *Core) []byte {
-	w := snap.NewWriter()
+	w := snap.NewWriter(0)
 	w.Section("core")
 	c.AppendState(w)
 	return w.Finish()

@@ -36,11 +36,11 @@ func corruptSnapshot(t *testing.T, st *store.Store, pkey store.Key) {
 	}
 }
 
-// ckptRunner builds a runner whose deferred checkpoint writes are waited
+// ckptRunner builds a runner whose write-behind store writes are waited
 // for before the test's store directory is removed.
 func ckptRunner(t *testing.T, opts Options) *Runner {
 	r := NewRunner(opts)
-	t.Cleanup(r.WaitCheckpoints)
+	t.Cleanup(r.WaitWrites)
 	return r
 }
 
@@ -76,8 +76,8 @@ func TestCheckpointWriteAndSelfResume(t *testing.T) {
 		t.Fatalf("cold run info = %+v", info)
 	}
 	// Warmup boundary at 10k plus periodic snapshots at 20k, 30k, 40k and
-	// the window's last cycle, 50k, which lands after the Result.
-	cold.WaitCheckpoints()
+	// the window's last cycle, 50k, all stored behind the call.
+	cold.WaitWrites()
 	if n := cold.CheckpointsWritten(); n != 5 {
 		t.Errorf("CheckpointsWritten = %d, want 5", n)
 	}
@@ -137,7 +137,7 @@ func TestCheckpointMeasureExtension(t *testing.T) {
 	if _, _, err := short.RunSpecInfo(shortSpec); err != nil {
 		t.Fatal(err)
 	}
-	short.WaitCheckpoints()
+	short.WaitWrites()
 	if short.CheckpointsWritten() == 0 {
 		t.Fatal("short run wrote no snapshots")
 	}
@@ -181,7 +181,7 @@ func TestCheckpointSurvivesWatchdogAbort(t *testing.T) {
 	if _, _, err := healthy.RunSpecInfo(spec); err != nil {
 		t.Fatal(err)
 	}
-	healthy.WaitCheckpoints()
+	healthy.WaitWrites()
 
 	// A measure-extended rerun under a vanishing budget: it resumes from
 	// the short run's snapshots, then the watchdog kills it long before
@@ -233,7 +233,7 @@ func TestCheckpointFallsBackOnCorruptSnapshot(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r1.WaitCheckpoints()
+	r1.WaitWrites()
 
 	// Corrupt the deepest snapshot the self-resume probes.
 	corruptSnapshot(t, opts.Store, spec.PrefixKey(spec.Warmup+3*opts.CheckpointEvery))
@@ -268,7 +268,7 @@ func TestCorruptWindowEndFallsBackToWarmup(t *testing.T) {
 	if _, _, err := short.RunSpecInfo(spec); err != nil {
 		t.Fatal(err)
 	}
-	short.WaitCheckpoints()
+	short.WaitWrites()
 	if n := short.CheckpointsWritten(); n != 2 {
 		t.Fatalf("short run wrote %d snapshots, want warmup boundary and window end", n)
 	}

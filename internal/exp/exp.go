@@ -50,11 +50,14 @@ type Options struct {
 	// event engine). Both engines produce bit-identical tables.
 	Engine sim.Engine
 	// Store, if non-nil, is a content-addressed result cache the runner
-	// consults before simulating and writes each completed result to.
+	// consults before simulating and writes each computed result to.
 	// Results served from the store are byte-identical to fresh computes
 	// (the key covers everything that determines them, plus
 	// SchemaVersion), so a warm store only removes work: an interrupted
-	// sweep resumes from its per-task results instead of restarting.
+	// sweep resumes from its per-task results instead of restarting. The
+	// writes of a computation happen behind it, on a goroutine of its own,
+	// and the call that computed returns without waiting for them (see
+	// RunInfo.Writes).
 	Store *store.Store
 	// SimTimeout, if positive, is a per-simulation wall-clock budget: a
 	// computed run that exceeds it is aborted via sim.Config.Stop and
@@ -71,7 +74,9 @@ type Options struct {
 	// prefix (see SimSpec.PrefixKey) and resumes from it; cold runs write
 	// a warmup-boundary snapshot so any later run sharing the prefix —
 	// the same spec, a measure-extension rerun, or a retry after a crash
-	// or watchdog abort — skips the warmup entirely. Snapshots are pure
+	// or watchdog abort — skips the warmup entirely. The simulation hands
+	// each snapshot to the computation's write-behind queue (see
+	// RunInfo.Writes) and runs on while it is stored. Snapshots are pure
 	// accelerators: a missing, corrupt, or version-mismatched one falls
 	// back to a shallower one or a cold run, never to an error (an
 	// unusable one is counted in CheckpointsRejected), and results are
@@ -82,18 +87,21 @@ type Options struct {
 	// window, bounding how much work an interrupted run loses to the tail
 	// since its last checkpoint. When N divides Measure the grid includes
 	// the window's last cycle, so a longer-Measure rerun resumes where
-	// this run ended; that snapshot is written after the Result is
-	// returned (see WaitCheckpoints). Zero writes only the
-	// warmup-boundary snapshot.
+	// this run ended; that snapshot is taken of the finished machine after
+	// the Result is returned. Like every checkpoint, it is stored behind
+	// the computation (see RunInfo.Writes and WaitWrites). Zero writes
+	// only the warmup-boundary snapshot.
 	CheckpointEvery int64
 	// EphemeralResults bounds the runner's memory when a Store is
 	// configured: completed results are NOT retained in the in-memory
 	// cache once they are safely on disk — later hits re-read and decode
-	// the store entry instead. In-flight dedup is unaffected. Intended
-	// for long-lived daemons (dsarpd), which would otherwise accumulate
-	// one sim.Result per unique spec ever served; ignored without a
-	// Store, and a result whose store write fails is kept in memory so it
-	// is never silently lost.
+	// the store entry instead. A computed result stays in memory until
+	// its write-behind store write lands, so a repeat request meanwhile is
+	// a memory hit, never a recompute. In-flight dedup is unaffected.
+	// Intended for long-lived daemons (dsarpd), which would otherwise
+	// accumulate one sim.Result per unique spec ever served; ignored
+	// without a Store, and a result whose store write fails is kept in
+	// memory so it is never silently lost.
 	EphemeralResults bool
 	// Progress, if non-nil, is called after each completed simulation with
 	// the runner's running count of them. It is never called concurrently,
@@ -152,9 +160,12 @@ type Runner struct {
 	sensitive []workload.Workload
 
 	mu      sync.Mutex
-	cache   map[store.Key]sim.Result
-	running map[store.Key]*inflight[sim.Result] // deduplicates concurrent runs
+	cache   map[store.Key]cached
+	running map[store.Key]*inflight[cached] // deduplicates concurrent runs
 	done    int
+	// writing holds the write-behind queues whose writes have not all
+	// finished (see WaitWrites).
+	writing map[*writeQueue]struct{}
 
 	simsRun   atomic.Int64 // simulations actually executed
 	storeHits atomic.Int64 // results served from the on-disk store
@@ -165,9 +176,6 @@ type Runner struct {
 	ckptRestored      atomic.Int64 // simulations started from a stored snapshot
 	ckptRestoredBytes atomic.Int64
 	ckptRejected      atomic.Int64 // stored snapshots found but unusable
-	// ckptPending tracks deferred window-end checkpoint writes (see
-	// WaitCheckpoints).
-	ckptPending sync.WaitGroup
 
 	// interrupted stops the worker pool from starting new simulations;
 	// in-flight ones finish (and reach the store). See Interrupt.
@@ -184,6 +192,13 @@ type Runner struct {
 
 	// enums memoizes each experiment's enumeration by name (see enumerate).
 	enums sync.Map
+}
+
+// cached is a result the runner holds in memory, with the handle on its
+// store write while that is still in flight.
+type cached struct {
+	res    sim.Result
+	writes Writes
 }
 
 // inflight is a computation another worker is already performing; waiters
@@ -267,8 +282,9 @@ func NewRunner(opts Options) *Runner {
 		opts:      opts,
 		mixes:     workload.Mixes(opts.PerCategory, opts.Cores, opts.Seed),
 		sensitive: workload.IntensiveMixes(opts.Sensitivity, opts.Cores, opts.Seed+1),
-		cache:     map[store.Key]sim.Result{},
-		running:   map[store.Key]*inflight[sim.Result]{},
+		cache:     map[store.Key]cached{},
+		running:   map[store.Key]*inflight[cached]{},
+		writing:   map[*writeQueue]struct{}{},
 	}
 }
 
@@ -391,6 +407,25 @@ type RunInfo struct {
 	// computation found but could not resume from before it settled on
 	// ResumedFrom (each is also counted in CheckpointsRejected).
 	Rejected []error
+	// Writes completes once the store writes behind this call have
+	// finished: for a computed result, its checkpoints, the result itself
+	// and its window-end snapshot; for a memory hit on a result whose
+	// write is still in flight, that computation's writes. Otherwise
+	// nothing is pending and Wait returns at once.
+	Writes Writes
+}
+
+// Writes is a handle on the write-behind store writes of one computation.
+// The zero Writes has nothing pending.
+type Writes struct{ done <-chan struct{} }
+
+// Wait blocks until the writes have finished: each is in the store or
+// counted in StoreErrs (a failed result write leaves the result in
+// memory).
+func (w Writes) Wait() {
+	if w.done != nil {
+		<-w.done
+	}
 }
 
 // RunSpecInfo executes (or recalls) the simulation an external spec
@@ -398,7 +433,9 @@ type RunInfo struct {
 // validated first; config modifiers come from the variant registry only.
 // Failures surface as errors, not panics; a watchdog abort surfaces as an
 // error wrapping ErrSimTimeout. The RunInfo says where the result came
-// from and, for computed runs, the checkpoint cycle it resumed from.
+// from and, for computed runs, the checkpoint cycle it resumed from. A
+// computed result is returned as soon as it exists: its store writes
+// are still in flight, and RunInfo.Writes completes when they land.
 func (r *Runner) RunSpecInfo(spec SimSpec) (res sim.Result, info RunInfo, err error) {
 	spec, err = r.PrepareSpec(spec)
 	if err != nil {
@@ -423,23 +460,32 @@ func (r *Runner) RunSpecInfo(spec SimSpec) (res sim.Result, info RunInfo, err er
 
 // runSpec is the shared cached-execution path: in-memory cache and
 // in-flight dedup first, then the on-disk store, then a real simulation
-// whose result is published to both. Concurrent calls with the same key
-// share a single execution. Panics on simulation errors (RunSpecInfo
-// converts them back to errors).
+// whose result is published to memory at once and to the store behind
+// the call. Concurrent calls with the same key share a single execution.
+// Panics on simulation errors (RunSpecInfo converts them back to errors).
 func (r *Runner) runSpec(spec SimSpec, mod func(*sim.Config)) (sim.Result, RunInfo) {
 	key := spec.Key()
 	info := RunInfo{Source: SourceMemory}
-	var done int
-	res, computed := singleflight(r, r.cache, r.running, key, func() (sim.Result, bool) {
+	var (
+		done int
+		q    *writeQueue // the computation's writes, when it has a store
+		tail func()      // its deferred window-end checkpoint, if any
+	)
+	defer func() {
+		if q != nil {
+			q.end(tail)
+		}
+	}()
+	c, computed := singleflight(r, r.cache, r.running, key, func() (cached, bool) {
 		if data, ok := r.storeGet(key); ok {
 			if res, err := DecodeResult(data); err == nil {
 				info.Source = SourceStore
 				r.storeHits.Add(1)
-				return res, !r.ephemeral()
+				return cached{res: res}, !r.ephemeral()
 			}
 			// Undecodable content under a valid envelope: schema drift or
-			// logical corruption. Fall through and recompute; the Put below
-			// heals the entry.
+			// logical corruption. Fall through and recompute; the result's
+			// write heals the entry.
 		}
 		if fetch := r.peerFetch.Load(); fetch != nil {
 			if data, ok := (*fetch)(key); ok {
@@ -450,7 +496,7 @@ func (r *Runner) runSpec(spec SimSpec, mod func(*sim.Config)) (sim.Result, RunIn
 					// the ring says to look.
 					info.Source = SourcePeer
 					persisted := r.storePutRaw(key, data)
-					return res, !r.ephemeral() || !persisted
+					return cached{res: res}, !r.ephemeral() || !persisted
 				}
 				// An undecodable peer payload is the fetcher's job to
 				// reject; a hook that leaks one through falls back to a
@@ -467,7 +513,10 @@ func (r *Runner) runSpec(spec SimSpec, mod func(*sim.Config)) (sim.Result, RunIn
 			cfg.Stop = stop
 			watchdog = time.AfterFunc(r.opts.SimTimeout, func() { stop.Store(true) })
 		}
-		res, err := r.simulate(spec, cfg, &info)
+		if r.opts.Store != nil {
+			q = r.writeBehind()
+		}
+		res, tl, err := r.simulate(spec, cfg, &info, q)
 		if watchdog != nil {
 			watchdog.Stop()
 		}
@@ -483,16 +532,75 @@ func (r *Runner) runSpec(spec SimSpec, mod func(*sim.Config)) (sim.Result, RunIn
 		}
 		info.Source = SourceComputed
 		r.simsRun.Add(1)
-		persisted := r.storePut(key, res)
-		return res, !r.ephemeral() || !persisted
+		tail = tl
+		// Published to memory whatever the mode: an ephemeral runner drops
+		// the result once its store write lands (see persistResult).
+		out := cached{res: res}
+		if q != nil {
+			out.writes = Writes{done: q.done}
+		}
+		return out, true
 	}, func() {
 		r.done++
 		done = r.done
 	})
 	if computed {
 		r.progress(done, spec.label())
+		if q != nil {
+			// Queued only now that the result is in the cache, so that an
+			// ephemeral runner's drop cannot precede the publication.
+			q.ops <- func() { r.persistResult(key, c.res) }
+		}
 	}
-	return res, info
+	info.Writes = c.writes
+	return c.res, info
+}
+
+// writeQueue carries one computation's store writes, in order, to a
+// goroutine of its own: the checkpoints the simulation crosses while it
+// runs, then the result, then the window-end snapshot. The computation
+// waits for none of them; it blocks only when several checkpoints are
+// queued unwritten, which bounds the snapshot bytes held in flight.
+type writeQueue struct {
+	ops  chan func()
+	done chan struct{} // closed when every queued write has finished
+}
+
+// writeBehind starts a computation's write queue. The computation must
+// end it (see end) on every path, a panic included.
+func (r *Runner) writeBehind() *writeQueue {
+	// Storing a snapshot takes far less time than simulating to the next
+	// one, so a few slots keep the simulation from waiting, while bounding
+	// the unwritten snapshots a computation holds.
+	q := &writeQueue{ops: make(chan func(), 4), done: make(chan struct{})}
+	r.mu.Lock()
+	r.writing[q] = struct{}{}
+	r.mu.Unlock()
+	go func() {
+		for op := range q.ops {
+			op()
+		}
+		r.mu.Lock()
+		delete(r.writing, q)
+		r.mu.Unlock()
+		close(q.done)
+	}()
+	return q
+}
+
+// end closes the queue once its last write is queued. A non-nil tail
+// snapshots the finished machine and queues the window-end checkpoint
+// through the sink; it runs on a goroutine of its own, so the snapshot's
+// serialization overlaps the result's write.
+func (q *writeQueue) end(tail func()) {
+	if tail == nil {
+		close(q.ops)
+		return
+	}
+	go func() {
+		tail()
+		close(q.ops)
+	}()
 }
 
 // checkpointing reports whether the compute path should read and write
@@ -523,24 +631,17 @@ func checkpointCycles(spec SimSpec, every int64) []int64 {
 // corrupt, version-mismatched, wrong shape — is recorded in info.Rejected
 // and falls back to a shallower one and finally to a cold run; the result
 // is bit-identical regardless of entry point, which the resume tests in
-// internal/sim pin. A window-end checkpoint is written after simulate
-// returns (see deferCheckpoint).
-func (r *Runner) simulate(spec SimSpec, cfg sim.Config, info *RunInfo) (sim.Result, error) {
+// internal/sim pin. Every snapshot goes to q, the computation's write
+// queue; the window-end one comes back as the tail sim.RunWithCheckpoints
+// returns, for the caller to run once the result is published.
+func (r *Runner) simulate(spec SimSpec, cfg sim.Config, info *RunInfo, q *writeQueue) (sim.Result, func(), error) {
 	if !r.checkpointing() {
-		return sim.Run(cfg)
+		res, err := sim.Run(cfg)
+		return res, nil, err
 	}
 	every := r.opts.CheckpointEvery
 	sink := func(cycle int64, data []byte) {
-		pkey := spec.PrefixKey(cycle)
-		if err := r.opts.Store.PutKind(pkey, store.KindSnapshot, data); err != nil {
-			r.storeErrs.Add(1)
-			return
-		}
-		r.ckptWritten.Add(1)
-		r.ckptWrittenBytes.Add(int64(len(data)))
-		if publish := r.snapPublish.Load(); publish != nil {
-			(*publish)(pkey, data)
-		}
+		q.ops <- func() { r.putCheckpoint(spec.PrefixKey(cycle), data) }
 	}
 	for _, cycle := range checkpointCycles(spec, every) {
 		pkey := spec.PrefixKey(cycle)
@@ -555,7 +656,7 @@ func (r *Runner) simulate(spec SimSpec, cfg sim.Config, info *RunInfo) (sim.Resu
 		}
 		res, tail, err := sim.ResumeRun(cfg, data, every, sink)
 		if errors.Is(err, sim.ErrInterrupted) {
-			return sim.Result{}, err
+			return sim.Result{}, nil, err
 		}
 		if err != nil {
 			// Unusable snapshot (stale layout, corruption the container
@@ -567,36 +668,41 @@ func (r *Runner) simulate(spec SimSpec, cfg sim.Config, info *RunInfo) (sim.Resu
 		r.ckptRestored.Add(1)
 		r.ckptRestoredBytes.Add(int64(len(data)))
 		info.ResumedFrom = cycle
-		r.deferCheckpoint(tail)
-		return res, nil
+		return res, tail, nil
 	}
-	res, tail, err := sim.RunWithCheckpoints(cfg, every, sink)
-	r.deferCheckpoint(tail)
-	return res, err
+	return sim.RunWithCheckpoints(cfg, every, sink)
 }
 
-// deferCheckpoint runs a simulation's deferred window-end checkpoint write
-// (see sim.RunWithCheckpoints) on a goroutine of its own, so serializing
-// and storing the snapshot stays off the path that returns the Result.
-// There is one per finished simulation, holding its finished machine for
-// as long as one snapshot write takes. WaitCheckpoints waits for them.
-func (r *Runner) deferCheckpoint(tail func()) {
-	if tail == nil {
+// putCheckpoint stores one snapshot under its prefix key and hands it to
+// the publish hook.
+func (r *Runner) putCheckpoint(pkey store.Key, data []byte) {
+	if err := r.opts.Store.PutKind(pkey, store.KindSnapshot, data); err != nil {
+		r.storeErrs.Add(1)
 		return
 	}
-	r.ckptPending.Add(1)
-	go func() {
-		defer r.ckptPending.Done()
-		tail()
-	}()
+	r.ckptWritten.Add(1)
+	r.ckptWrittenBytes.Add(int64(len(data)))
+	if publish := r.snapPublish.Load(); publish != nil {
+		(*publish)(pkey, data)
+	}
 }
 
-// WaitCheckpoints blocks until the deferred checkpoint write of every
-// simulation that has returned is done: its snapshot is in the store (or
-// counted in StoreErrs) and handed to the publish hook. Call it when no
-// simulation is running and before the store's directory goes away;
-// serve.Server.Drain does.
-func (r *Runner) WaitCheckpoints() { r.ckptPending.Wait() }
+// WaitWrites blocks until every write-behind queue started so far has
+// finished: each computed result and snapshot is in the store (or counted
+// in StoreErrs) and handed to the publish hook. A computation still
+// running is waited for, since its queue closes when it ends. Call it
+// before the store's directory goes away; serve.Server.Drain does.
+func (r *Runner) WaitWrites() {
+	r.mu.Lock()
+	pending := make([]chan struct{}, 0, len(r.writing))
+	for q := range r.writing {
+		pending = append(pending, q.done)
+	}
+	r.mu.Unlock()
+	for _, done := range pending {
+		<-done
+	}
+}
 
 // ephemeral reports whether completed results should be dropped from RAM
 // (EphemeralResults is meaningful only with a durable store behind it).
@@ -613,7 +719,9 @@ func (r *Runner) ephemeral() bool {
 // resolved up front, so a bad spec fails before the first simulation
 // starts, not hours into a sweep. After Interrupt the partial
 // map is withheld (ok=false): assembling from it would either panic on a
-// missing key or render a misleading table.
+// missing key or render a misleading table. RunAll returns, on every
+// path, only once the store writes of its calls have landed, so a sweep
+// that stops leaves every completed result durable.
 func (r *Runner) RunAll(specs []SimSpec) (res Results, ok bool) {
 	mods := make([]func(*sim.Config), len(specs))
 	for i, s := range specs {
@@ -624,8 +732,16 @@ func (r *Runner) RunAll(specs []SimSpec) (res Results, ok bool) {
 		mods[i] = mod
 	}
 	out := make([]sim.Result, len(specs))
+	writes := make([]Writes, len(specs))
+	defer func() {
+		for _, w := range writes {
+			w.Wait()
+		}
+	}()
 	r.forEach(len(specs), func(i int) {
-		out[i], _ = r.runSpec(specs[i], mods[i])
+		var info RunInfo
+		out[i], info = r.runSpec(specs[i], mods[i])
+		writes[i] = info.Writes
 	})
 	if r.Interrupted() {
 		return nil, false
@@ -645,23 +761,24 @@ func (r *Runner) storeGet(key store.Key) ([]byte, bool) {
 	return r.opts.Store.Get(key)
 }
 
-// storePut publishes a computed result to the store, if configured,
-// reporting whether the entry is durably on disk. A failed write is
-// counted but not fatal: the result is still correct, the cache is just
-// colder than it could be.
-func (r *Runner) storePut(key store.Key, res sim.Result) bool {
-	if r.opts.Store == nil {
-		return false
-	}
+// persistResult writes a computed result to the store; once it is there,
+// an ephemeral runner drops its in-memory copy. A failed write is counted
+// but not fatal: the result stays in memory, correct, and the store is
+// just colder than it could be.
+func (r *Runner) persistResult(key store.Key, res sim.Result) {
 	data, err := EncodeResult(res)
 	if err == nil {
 		err = r.opts.Store.Put(key, data)
 	}
 	if err != nil {
 		r.storeErrs.Add(1)
-		return false
+		return
 	}
-	return true
+	if r.ephemeral() {
+		r.mu.Lock()
+		delete(r.cache, key)
+		r.mu.Unlock()
+	}
 }
 
 // storePutRaw persists already-encoded result bytes (a verified peer
@@ -735,9 +852,9 @@ func (r *Runner) CheckpointBytesRestored() int64 { return r.ckptRestoredBytes.Lo
 func (r *Runner) CheckpointsRejected() int64 { return r.ckptRejected.Load() }
 
 // Interrupt makes the runner stop starting new simulations: worker pools
-// drain after their current task, so every completed result has already
-// reached the store and a later run with the same store resumes where this
-// one stopped. RunAll then withholds its partial results and
+// drain after their current task, and RunAll waits for their store
+// writes, so every completed result reaches the store and a later run
+// with the same store resumes where this one stopped. RunAll then withholds its partial results and
 // RunExperiment returns no table (see Interrupted).
 func (r *Runner) Interrupt() { r.interrupted.Store(true) }
 

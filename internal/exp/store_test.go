@@ -123,8 +123,10 @@ func TestWarmStoreSurvivesPartialResults(t *testing.T) {
 	if r1.SimsRun() != 1 {
 		t.Fatalf("SimsRun = %d, want 1", r1.SimsRun())
 	}
+	r1.WaitWrites() // the result lands in the store behind the call
 
 	r2 := NewRunner(opts)
+	t.Cleanup(r2.WaitWrites)
 	runOne(t, r2, r2.specFor(wl, core.KindREFab, timing.Gb8, "")) // from store
 	runOne(t, r2, r2.specFor(wl, core.KindREFpb, timing.Gb8, "")) // missing: computes
 	if r2.SimsRun() != 1 || r2.StoreHits() != 1 {
@@ -290,7 +292,11 @@ func TestEphemeralResultsBoundMemory(t *testing.T) {
 	opts.EphemeralResults = true
 	r := NewRunner(opts)
 	spec := r.specFor(r.Mixes()[0], core.KindREFab, timing.Gb8, "")
-	first, _ := runOne(t, r, spec)
+	first, info, err := r.RunSpecInfo(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	info.Writes.Wait() // the result leaves memory once its store write lands
 	if got, _ := runOne(t, r, spec); !reflect.DeepEqual(first, got) {
 		t.Error("store re-read diverged from the computed result")
 	}

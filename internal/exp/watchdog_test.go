@@ -51,6 +51,7 @@ func TestSimTimeoutAborts(t *testing.T) {
 	spec := watchdogSpec()
 	spec.Measure = 8_000 // small enough to finish promptly
 	r2 := NewRunner(opts)
+	t.Cleanup(r2.WaitWrites)
 	if _, info, err := r2.RunSpecInfo(spec); err != nil || info.Source != SourceComputed {
 		t.Fatalf("retry = src %v err %v, want clean compute", info.Source, err)
 	}
@@ -68,9 +69,11 @@ func TestSimTimeoutSparesCachedResults(t *testing.T) {
 	}
 	spec := watchdogSpec()
 	spec.Measure = 8_000
-	if _, _, err := NewRunner(warmOpts).RunSpecInfo(spec); err != nil {
+	_, info, err := NewRunner(warmOpts).RunSpecInfo(spec)
+	if err != nil {
 		t.Fatal(err)
 	}
+	info.Writes.Wait() // the result lands in the store behind the call
 
 	warmOpts.SimTimeout = time.Nanosecond
 	r := NewRunner(warmOpts)

@@ -15,7 +15,9 @@ import (
 // identity and full spec list — to <store>/jobs/<id>.jsonl before the job
 // ID is returned, and that one line is the job's whole durable state.
 // Results need no second record: the runner writes every successful
-// result to the content-addressed store before the job publishes it. On
+// result to the content-addressed store behind the computation, and the
+// worker records the task done only once that write has landed, so a
+// job's done count never runs ahead of what a restart finds. On
 // startup the server adopts every header in the directory: the job comes
 // back under the same ID, every spec whose key the store holds is
 // restored as a store hit (so GET /v1/jobs/{id}, /results, /table, and

@@ -542,3 +542,131 @@ func TestDrainWaitsForWindowEndCheckpoints(t *testing.T) {
 		t.Errorf("store holds %d snapshot entries after Drain, runner wrote %d", n, written)
 	}
 }
+
+// slowStore opens a store whose every write first sleeps for d, so that a
+// result's write lands well after the reply that carries the result.
+func slowStore(t *testing.T, d time.Duration) *store.Store {
+	t.Helper()
+	st, err := store.Open(t.TempDir(), store.Options{FailWrites: func() error {
+		time.Sleep(d)
+		return nil
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return st
+}
+
+// TestJobDoneNeverAheadOfStore: a job counts a task done only once its
+// result is durable, so at every moment the done count it reports is at
+// most the number of its results in the store — what a restart after a
+// kill -9 finds. The store is slow, so the results trail the computations.
+func TestJobDoneNeverAheadOfStore(t *testing.T) {
+	s := newService(t, tinyOpts(), Config{Workers: 2}, slowStore(t, 20*time.Millisecond))
+	var specs []exp.SimSpec
+	var keys []store.Key
+	for _, mech := range []string{"REFab", "REFpb", "DARP", "SARPpb", "DSARP", "NoREF"} {
+		spec := tinySpec("done-durable")
+		spec.Mechanism = mech
+		prepared, err := s.runner.PrepareSpec(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		specs = append(specs, spec)
+		keys = append(keys, prepared.Key())
+	}
+	resp, body := s.post(t, "/v1/sweep", sweepRequest{Name: "done-durable", Specs: specs})
+	if resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("sweep: %d %s", resp.StatusCode, body)
+	}
+	var sw sweepResponse
+	json.Unmarshal(body, &sw)
+	deadline := time.Now().Add(60 * time.Second)
+	for polls := 0; ; polls++ {
+		_, body := s.get(t, "/v1/jobs/"+sw.ID)
+		var st jobStatus
+		if err := json.Unmarshal(body, &st); err != nil {
+			t.Fatalf("status decode: %v (%s)", err, body)
+		}
+		// Read after the status, so a result counted in done is already
+		// in the store by the time it is looked for.
+		stored := 0
+		for _, k := range keys {
+			if s.store.Contains(k) {
+				stored++
+			}
+		}
+		if st.Done > stored {
+			t.Fatalf("poll %d: job reports %d done, store holds %d of its results", polls, st.Done, stored)
+		}
+		if st.State == "done" {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("job did not finish")
+		}
+		time.Sleep(2 * time.Millisecond)
+	}
+}
+
+// TestSimReplyThenDrainPersists: a /v1/sim reply may precede its result's
+// store write, and Drain waits for that write.
+func TestSimReplyThenDrainPersists(t *testing.T) {
+	s := newService(t, tinyOpts(), Config{Workers: 2}, slowStore(t, 50*time.Millisecond))
+	resp, body := s.post(t, "/v1/sim", tinySpec("reply-then-drain"))
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("sim: %d %s", resp.StatusCode, body)
+	}
+	var sr simResponse
+	if err := json.Unmarshal(body, &sr); err != nil {
+		t.Fatal(err)
+	}
+	key, err := store.ParseKey(sr.Key)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s.store.Contains(key) {
+		t.Log("the result's write landed before the reply was read")
+	}
+	if err := s.Drain(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	got, ok := s.store.Get(key)
+	if !ok {
+		t.Fatal("result missing from the store after Drain")
+	}
+	var buf bytes.Buffer
+	if err := json.Compact(&buf, sr.Result); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, buf.Bytes()) {
+		t.Error("stored result differs from the replied one")
+	}
+}
+
+// TestDrainWaitsForAbortedRunCheckpoints: a run the watchdog aborts
+// returns no write handle, yet the warmup-boundary snapshot it queued
+// before the abort is still being written; Drain waits for it, so the
+// retry after a restart can resume from it.
+func TestDrainWaitsForAbortedRunCheckpoints(t *testing.T) {
+	opts := tinyOpts()
+	opts.Checkpoints = true
+	opts.SimTimeout = time.Nanosecond
+	s := newService(t, opts, Config{Workers: 1}, slowStore(t, 50*time.Millisecond))
+	spec := tinySpec("aborted-ckpt")
+	spec.Measure = 2_000_000 // the warmup (2k cycles) ends before the first watchdog poll
+	resp, body := s.post(t, "/v1/sim", spec)
+	if resp.StatusCode != http.StatusGatewayTimeout {
+		t.Fatalf("sim: %d %s, want 504", resp.StatusCode, body)
+	}
+	if err := s.Drain(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	prepared, err := s.runner.PrepareSpec(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !s.store.ContainsKind(prepared.PrefixKey(prepared.Warmup), store.KindSnapshot) {
+		t.Error("the aborted run's warmup-boundary snapshot is not in the store after Drain")
+	}
+}

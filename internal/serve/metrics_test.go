@@ -188,7 +188,7 @@ func TestCheckpointRejectedCountedAndLogged(t *testing.T) {
 	if resp, body := s.post(t, "/v1/sim", spec); resp.StatusCode != http.StatusOK {
 		t.Fatalf("sim: %d %s", resp.StatusCode, body)
 	}
-	s.runner.WaitCheckpoints()
+	s.runner.WaitWrites()
 	pkey := spec.PrefixKey(spec.Warmup + spec.Measure)
 	data, ok := s.store.GetKind(pkey, store.KindSnapshot)
 	if !ok {

@@ -63,6 +63,7 @@ func TestResultGetServesVerifiedPayload(t *testing.T) {
 	if resp, body := s.post(t, "/v1/sim", spec); resp.StatusCode != http.StatusOK {
 		t.Fatalf("sim: %d %s", resp.StatusCode, body)
 	}
+	s.runner.WaitWrites() // the reply may precede the result's store write
 	prepared, err := s.runner.PrepareSpec(spec)
 	if err != nil {
 		t.Fatal(err)
@@ -123,6 +124,7 @@ func TestResultPutVerifiesAndPersists(t *testing.T) {
 	if resp, body := src.post(t, "/v1/sim", spec); resp.StatusCode != http.StatusOK {
 		t.Fatalf("sim: %d %s", resp.StatusCode, body)
 	}
+	src.runner.WaitWrites() // the reply may precede the result's store write
 	prepared, err := src.runner.PrepareSpec(spec)
 	if err != nil {
 		t.Fatal(err)
@@ -215,6 +217,7 @@ func TestPeerFetchAvoidsRecompute(t *testing.T) {
 	if resp, body := a.post(t, "/v1/sim", spec); resp.StatusCode != http.StatusOK {
 		t.Fatalf("sim on a: %d %s", resp.StatusCode, body)
 	}
+	a.runner.WaitWrites() // the reply may precede the result's store write
 	resp, body := b.post(t, "/v1/sim", spec)
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("sim on b: %d %s", resp.StatusCode, body)
@@ -304,6 +307,7 @@ func TestResultGetSurvivesDegradedStore(t *testing.T) {
 	if resp, body := s.post(t, "/v1/sim", spec); resp.StatusCode != http.StatusOK {
 		t.Fatalf("sim: %d %s", resp.StatusCode, body)
 	}
+	s.runner.WaitWrites() // the reply may precede the result's store write
 	prepared, _ := s.runner.PrepareSpec(spec)
 	key := prepared.Key()
 
@@ -312,6 +316,7 @@ func TestResultGetSurvivesDegradedStore(t *testing.T) {
 	if resp, _ := s.post(t, "/v1/sim", tinySpec("degraded-trigger")); resp.StatusCode != http.StatusOK {
 		t.Fatalf("sim under failing writes should still answer: %d", resp.StatusCode)
 	}
+	s.runner.WaitWrites()
 	if deg, _ := st.Degraded(); !deg {
 		t.Fatal("store did not degrade after the injected write failure")
 	}
@@ -352,7 +357,7 @@ func TestCheckpointTravelsToPeer(t *testing.T) {
 		t.Fatalf("sim on a: %d %s", resp.StatusCode, body)
 	}
 	// a's window-end snapshot lands after its reply.
-	a.runner.WaitCheckpoints()
+	a.runner.WaitWrites()
 	if a.runner.CheckpointsWritten() == 0 {
 		t.Fatal("a wrote no snapshots")
 	}
@@ -414,6 +419,7 @@ func TestSnapshotPutLandsInSnapshotNamespace(t *testing.T) {
 	if resp, body := a.post(t, "/v1/sim", spec); resp.StatusCode != http.StatusOK {
 		t.Fatalf("sim: %d %s", resp.StatusCode, body)
 	}
+	a.runner.WaitWrites() // the reply may precede a's store writes
 	prepared, err := a.runner.PrepareSpec(spec)
 	if err != nil {
 		t.Fatal(err)

@@ -151,6 +151,11 @@ func TestServedFromStoreAfterRestart(t *testing.T) {
 	s1 := newService(t, tinyOpts(), Config{}, st)
 	_, body1 := s1.post(t, "/v1/sim", tinySpec("restart"))
 	s1.ts.Close()
+	// A graceful stop: the reply may precede the result's store write,
+	// and Drain waits for it.
+	if err := s1.Drain(context.Background()); err != nil {
+		t.Fatal(err)
+	}
 
 	s2 := newService(t, tinyOpts(), Config{}, st)
 	resp, body2 := s2.post(t, "/v1/sim", tinySpec("restart"))
@@ -386,6 +391,7 @@ func TestStoreCorruptionRecomputes(t *testing.T) {
 	var r1 simResponse
 	json.Unmarshal(body1, &r1)
 	s1.ts.Close()
+	s1.runner.WaitWrites() // the reply may precede the result's store write
 
 	key, err := store.ParseKey(r1.Key)
 	if err != nil {
@@ -414,6 +420,7 @@ func TestStoreCorruptionRecomputes(t *testing.T) {
 	if !bytes.Equal(r1.Result, r2.Result) {
 		t.Error("recomputed result differs from the original")
 	}
+	s2.runner.WaitWrites()
 	// Healed: a third server now reads it from disk.
 	s3 := newService(t, tinyOpts(), Config{}, st)
 	_, body3 := s3.post(t, "/v1/sim", tinySpec("corrupt"))

@@ -304,12 +304,19 @@ func (s *Server) worker() {
 			}
 			s.trace.Record(sp)
 		}
+		if t.reply != nil {
+			t.reply <- taskReply{res: res, src: src, resumedFrom: info.ResumedFrom, err: err}
+		}
+		// The reply may precede the result's store write; the worker takes
+		// no next task until the write lands, which bounds the writes in
+		// flight by the worker count (bar the checkpoints an aborted run
+		// queued, which only Drain waits for). A job counts a task done
+		// only then, so done never runs ahead of what a restart finds in
+		// the store.
+		info.Writes.Wait()
 		s.release(1)
 		if t.job != nil {
 			t.job.complete(t.index, t.spec, res, src, err)
-		}
-		if t.reply != nil {
-			t.reply <- taskReply{res: res, src: src, resumedFrom: info.ResumedFrom, err: err}
 		}
 		s.tasks.Done()
 	}
@@ -359,10 +366,10 @@ var (
 
 // Drain stops the service gracefully: new submissions are refused with
 // 503, every queued or running task finishes (its result reaching the
-// store and any SSE subscribers), then the workers exit and the runner's
-// deferred checkpoint writes land. Status and results endpoints keep
-// answering throughout. Returns ctx.Err() if the deadline expires first;
-// the workers then finish in the background.
+// store and any SSE subscribers), then the workers exit and every
+// write-behind store write of the runner lands. Status and results
+// endpoints keep answering throughout. Returns ctx.Err() if the deadline
+// expires first; the workers then finish in the background.
 func (s *Server) Drain(ctx context.Context) error {
 	s.mu.Lock()
 	already := s.draining
@@ -376,9 +383,9 @@ func (s *Server) Drain(ctx context.Context) error {
 			close(s.queue)
 		}
 		s.workers.Wait()
-		// No simulation is running any more; the window-end snapshots of
-		// the finished ones are still being written (and published).
-		s.runner.WaitCheckpoints()
+		// No simulation is running any more; the writes behind the
+		// finished ones may still be landing (and being published).
+		s.runner.WaitWrites()
 		if s.peer != nil {
 			// Let in-flight replica pushes land (or exhaust their retries)
 			// so a drained worker leaves the tier fully repaired.

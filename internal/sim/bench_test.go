@@ -86,3 +86,48 @@ func BenchmarkEngines(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkSnapshot measures one checkpoint's serialization as a resumed
+// run takes it: the first snapshot of a machine restored at cycle 20k, an
+// 8-core mix of read-intensive profiles under DSARP at 32 Gb.
+func BenchmarkSnapshot(b *testing.B) {
+	names := []string{"libq.scan", "tpch.scan", "mcf.chase", "rand.access",
+		"soplex.solve", "libq.scan", "tpch.scan", "mcf.chase"}
+	wl := workload.Workload{Name: "sat-read"}
+	for _, n := range names {
+		p, err := workload.ByName(n)
+		if err != nil {
+			b.Fatal(err)
+		}
+		wl.Benchmarks = append(wl.Benchmarks, p)
+	}
+	cfg := Config{
+		Workload:  wl,
+		Mechanism: core.KindDSARP,
+		Density:   timing.Gb32,
+		Seed:      1,
+		Warmup:    4_000,
+		Measure:   16_000,
+	}.WithDefaults()
+	s, err := NewSystem(cfg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	s.RunTo(cfg.Warmup + cfg.Measure)
+	data := s.Snapshot()
+	b.SetBytes(int64(len(data)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		restored, err := RestoreSystem(cfg, data)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.StartTimer()
+		snapSink = restored.Snapshot()
+	}
+}
+
+// snapSink keeps BenchmarkSnapshot's result live.
+var snapSink []byte

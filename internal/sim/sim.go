@@ -240,6 +240,10 @@ type System struct {
 	ckptEvery int64
 	ckptNext  int64
 	ckptSink  Checkpointer
+	// snapRest is the room the next snapshot's buffer leaves beyond the
+	// slices' tag stores (see Snapshot): a per-core allowance until a
+	// snapshot has measured it.
+	snapRest int
 
 	// Measurement baseline (beginMeasure). Carried in snapshots so a resumed
 	// run windows its Result identically to the cold run.
@@ -279,7 +283,8 @@ func NewSystem(cfg Config) (*System, error) {
 	geom.SubarraysPerBank = cfg.SubarraysPerBank
 
 	s := &System{cfg: cfg, tp: tp, geom: geom,
-		mapper: sched.Mapper{Channels: cfg.Channels, Geom: geom}}
+		mapper:   sched.Mapper{Channels: cfg.Channels, Geom: geom},
+		snapRest: nCores * 2048}
 
 	schedCfg := cfg.Sched
 	schedCfg.OpenRow = cfg.OpenRow

@@ -34,8 +34,16 @@ func (s *System) CanSnapshot() bool {
 // hash-framed snap container. Restoring it with RestoreSystem under the
 // same Config (Measure aside) yields a machine that produces bit-identical
 // results to one that never stopped. Panics if CanSnapshot is false.
+//
+// The buffer is sized once from an estimate: the slices' tag stores, which
+// dominate and grow as the LLC fills, from their valid-line counts, plus
+// what the rest of the machine took in this system's previous snapshot.
 func (s *System) Snapshot() []byte {
-	w := snap.NewWriter()
+	tags := 0
+	for _, sl := range s.slices {
+		tags += sl.StateSizeHint()
+	}
+	w := snap.NewWriter(tags + s.snapRest)
 	w.Section("meta")
 	w.I64(s.now)
 	w.I64(s.stepped)
@@ -75,7 +83,10 @@ func (s *System) Snapshot() []byte {
 		w.Section(fmt.Sprintf("policy%d", ch))
 		pol.AppendState(w)
 	}
-	return w.Finish()
+	data := w.Finish()
+	// Room for the rest to grow by half before the next snapshot.
+	s.snapRest = (len(data) - tags) * 3 / 2
+	return data
 }
 
 // RestoreSystem rebuilds a system from cfg exactly as NewSystem would,

@@ -48,9 +48,11 @@ type Writer struct {
 	secOff  int // start of the current section's body length field
 }
 
-// NewWriter returns an empty snapshot writer.
-func NewWriter() *Writer {
-	return &Writer{buf: make([]byte, headerLen)}
+// NewWriter returns an empty snapshot writer whose buffer has room for a
+// snapshot of sizeHint bytes, so that one sized right is built without
+// regrowing the buffer. The hint changes no byte of the snapshot.
+func NewWriter(sizeHint int) *Writer {
+	return &Writer{buf: make([]byte, headerLen, max(sizeHint, headerLen))}
 }
 
 // Section begins a new named section. The previous section, if any, is

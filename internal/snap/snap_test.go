@@ -8,7 +8,7 @@ import (
 )
 
 func TestRoundTrip(t *testing.T) {
-	w := NewWriter()
+	w := NewWriter(0)
 	w.Section("alpha")
 	w.U64(42)
 	w.I64(-7)
@@ -59,7 +59,7 @@ func TestRoundTrip(t *testing.T) {
 
 func TestDeterministicBytes(t *testing.T) {
 	build := func() []byte {
-		w := NewWriter()
+		w := NewWriter(0)
 		w.Section("s")
 		w.U64(1)
 		w.Str("x")
@@ -71,7 +71,7 @@ func TestDeterministicBytes(t *testing.T) {
 }
 
 func TestCorruptionDetected(t *testing.T) {
-	w := NewWriter()
+	w := NewWriter(0)
 	w.Section("s")
 	w.U64(99)
 	data := w.Finish()
@@ -85,7 +85,7 @@ func TestCorruptionDetected(t *testing.T) {
 }
 
 func TestVersionMismatch(t *testing.T) {
-	w := NewWriter()
+	w := NewWriter(0)
 	w.Section("s")
 	w.U64(1)
 	data := w.Finish()
@@ -97,7 +97,7 @@ func TestVersionMismatch(t *testing.T) {
 }
 
 func TestSectionNameMismatch(t *testing.T) {
-	w := NewWriter()
+	w := NewWriter(0)
 	w.Section("right")
 	w.U64(1)
 	r, err := NewReader(w.Finish())
@@ -110,7 +110,7 @@ func TestSectionNameMismatch(t *testing.T) {
 }
 
 func TestUnconsumedBytesDetected(t *testing.T) {
-	w := NewWriter()
+	w := NewWriter(0)
 	w.Section("a")
 	w.U64(1)
 	w.U64(2)
@@ -130,7 +130,7 @@ func TestUnconsumedBytesDetected(t *testing.T) {
 }
 
 func TestOverreadDetected(t *testing.T) {
-	w := NewWriter()
+	w := NewWriter(0)
 	w.Section("a")
 	w.U64(1)
 	r, err := NewReader(w.Finish())
@@ -148,7 +148,7 @@ func TestOverreadDetected(t *testing.T) {
 }
 
 func TestInvalidBool(t *testing.T) {
-	w := NewWriter()
+	w := NewWriter(0)
 	w.Section("a")
 	w.buf = append(w.buf, 7) // raw invalid bool byte
 	r, err := NewReader(w.Finish())
