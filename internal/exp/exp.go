@@ -15,6 +15,7 @@
 package exp
 
 import (
+	"crypto/sha256"
 	"errors"
 	"fmt"
 	"runtime"
@@ -94,14 +95,22 @@ type Options struct {
 	CheckpointEvery int64
 	// EphemeralResults bounds the runner's memory when a Store is
 	// configured: completed results are NOT retained in the in-memory
-	// cache once they are safely on disk — later hits re-read and decode
-	// the store entry instead. A computed result stays in memory until
-	// its write-behind store write lands, so a repeat request meanwhile is
-	// a memory hit, never a recompute. In-flight dedup is unaffected.
+	// cache once they are safely on disk — later hits re-read the store
+	// entry instead. A computed result stays in memory until its
+	// write-behind store write lands, so a repeat request meanwhile is a
+	// memory hit, never a recompute. In-flight dedup is unaffected.
 	// Intended for long-lived daemons (dsarpd), which would otherwise
 	// accumulate one sim.Result per unique spec ever served; ignored
 	// without a Store, and a result whose store write fails is kept in
 	// memory so it is never silently lost.
+	//
+	// A store hit is decoded once per distinct payload: the runner keeps
+	// the SHA-256 of the last payload it encoded or saw DecodeResult
+	// accept for each key (32 bytes per key), and a RunSpecEncoded store
+	// hit whose bytes match that digest is served without decoding them
+	// again. Any other bytes — an entry another process wrote, or one
+	// replaced since — are decoded first, and an entry that does not
+	// decode is recomputed.
 	EphemeralResults bool
 	// Progress, if non-nil, is called after each completed simulation with
 	// the runner's running count of them. It is never called concurrently,
@@ -166,10 +175,15 @@ type Runner struct {
 	// writing holds the write-behind queues whose writes have not all
 	// finished (see WaitWrites).
 	writing map[*writeQueue]struct{}
+	// digests holds, on an ephemeral runner, the SHA-256 of the payload
+	// each key's result was last encoded to or decoded from: a store hit
+	// whose bytes match it needs no decode check (see storeHit).
+	digests map[store.Key][sha256.Size]byte
 
 	simsRun   atomic.Int64 // simulations actually executed
 	storeHits atomic.Int64 // results served from the on-disk store
 	storeErrs atomic.Int64 // store writes that failed (results still returned)
+	decodes   atomic.Int64 // stored or fetched payloads run through DecodeResult
 
 	ckptWritten       atomic.Int64 // snapshots persisted to the store
 	ckptWrittenBytes  atomic.Int64
@@ -194,11 +208,27 @@ type Runner struct {
 	enums sync.Map
 }
 
-// cached is a result the runner holds in memory, with the handle on its
-// store write while that is still in flight.
+// cached is a result as runSpec hands it out. One the runner holds in
+// memory carries the handle on its computation's writes and, while its
+// result write is in flight, the encoding that write stores. One served
+// from the store or a peer carries the payload it was served from.
 type cached struct {
-	res    sim.Result
-	writes Writes
+	res sim.Result
+	// data is res's EncodeResult bytes, or nil. Callers share it and must
+	// not modify it.
+	data []byte
+	// undecoded marks a store hit served on its recorded digest: data is
+	// set and res is not.
+	undecoded bool
+	writes    Writes
+}
+
+// encoded returns c's payload: its data, or else a fresh encoding of res.
+func (c cached) encoded() ([]byte, error) {
+	if c.data != nil {
+		return c.data, nil
+	}
+	return EncodeResult(c.res)
 }
 
 // inflight is a computation another worker is already performing; waiters
@@ -285,6 +315,7 @@ func NewRunner(opts Options) *Runner {
 		cache:     map[store.Key]cached{},
 		running:   map[store.Key]*inflight[cached]{},
 		writing:   map[*writeQueue]struct{}{},
+		digests:   map[store.Key][sha256.Size]byte{},
 	}
 }
 
@@ -395,8 +426,13 @@ func (s RunSource) Cached() bool { return s != SourceComputed }
 // it to a retryable status and fleet orchestrators re-dispatch.
 var ErrSimTimeout = errors.New("exp: simulation exceeded its wall-clock budget")
 
-// RunInfo describes how a RunSpecInfo call was satisfied.
+// RunInfo describes how a RunSpecInfo or RunSpecEncoded call was
+// satisfied.
 type RunInfo struct {
+	// Key is the content address of the spec's canonical form (see
+	// SimSpec.Key): the key its result is cached and stored under. It is
+	// set whenever the spec is valid, also when the simulation fails.
+	Key store.Key
 	// Source says where the result came from.
 	Source RunSource
 	// ResumedFrom is the snapshot cycle the computation restarted from
@@ -436,15 +472,41 @@ func (w Writes) Wait() {
 // from and, for computed runs, the checkpoint cycle it resumed from. A
 // computed result is returned as soon as it exists: its store writes
 // are still in flight, and RunInfo.Writes completes when they land.
-func (r *Runner) RunSpecInfo(spec SimSpec) (res sim.Result, info RunInfo, err error) {
+func (r *Runner) RunSpecInfo(spec SimSpec) (sim.Result, RunInfo, error) {
+	c, info, err := r.run(spec, false)
+	return c.res, info, err
+}
+
+// RunSpecEncoded is RunSpecInfo for a caller that wants the result's
+// EncodeResult bytes, as the serving layer replies, stores and pushes
+// them. A computed result is encoded once: its store write, its memory
+// hits while that write is in flight, and its callers share the
+// encoding. On an EphemeralResults runner a store hit returns the stored
+// bytes, decoded only if they are not the bytes the runner last encoded
+// or decoded for the key (see Options.EphemeralResults). Callers must not
+// modify the returned bytes.
+func (r *Runner) RunSpecEncoded(spec SimSpec) ([]byte, RunInfo, error) {
+	c, info, err := r.run(spec, true)
+	if err != nil {
+		return nil, info, err
+	}
+	data, err := c.encoded()
+	return data, info, err
+}
+
+// run is the shared body of RunSpecInfo and RunSpecEncoded (enc): it
+// prepares the spec and runs it through runSpec, turning a panic into an
+// error.
+func (r *Runner) run(spec SimSpec, enc bool) (c cached, info RunInfo, err error) {
 	spec, err = r.PrepareSpec(spec)
 	if err != nil {
-		return sim.Result{}, RunInfo{}, err
+		return c, info, err
 	}
 	mod, err := VariantMod(spec.Variant)
 	if err != nil {
-		return sim.Result{}, RunInfo{}, err
+		return c, info, err
 	}
+	info.Key = spec.Key()
 	defer func() {
 		if v := recover(); v != nil {
 			if e, ok := v.(error); ok && errors.Is(e, ErrSimTimeout) {
@@ -454,18 +516,19 @@ func (r *Runner) RunSpecInfo(spec SimSpec) (res sim.Result, info RunInfo, err er
 			err = fmt.Errorf("exp: run %s: %v", spec.label(), v)
 		}
 	}()
-	res, info = r.runSpec(spec, mod)
-	return res, info, nil
+	c, info = r.runSpec(spec, info.Key, mod, enc)
+	return c, info, nil
 }
 
 // runSpec is the shared cached-execution path: in-memory cache and
 // in-flight dedup first, then the on-disk store, then a real simulation
 // whose result is published to memory at once and to the store behind
 // the call. Concurrent calls with the same key share a single execution.
-// Panics on simulation errors (RunSpecInfo converts them back to errors).
-func (r *Runner) runSpec(spec SimSpec, mod func(*sim.Config)) (sim.Result, RunInfo) {
-	key := spec.Key()
-	info := RunInfo{Source: SourceMemory}
+// key is spec.Key(). Without enc the returned res is always set; with it,
+// a store hit may carry only its data. Panics on simulation errors
+// (RunSpecInfo converts them back to errors).
+func (r *Runner) runSpec(spec SimSpec, key store.Key, mod func(*sim.Config), enc bool) (cached, RunInfo) {
+	info := RunInfo{Key: key, Source: SourceMemory}
 	var (
 		done int
 		q    *writeQueue // the computation's writes, when it has a store
@@ -478,10 +541,10 @@ func (r *Runner) runSpec(spec SimSpec, mod func(*sim.Config)) (sim.Result, RunIn
 	}()
 	c, computed := singleflight(r, r.cache, r.running, key, func() (cached, bool) {
 		if data, ok := r.storeGet(key); ok {
-			if res, err := DecodeResult(data); err == nil {
+			if c, ok := r.storeHit(key, data, enc); ok {
 				info.Source = SourceStore
 				r.storeHits.Add(1)
-				return cached{res: res}, !r.ephemeral()
+				return c, !r.ephemeral()
 			}
 			// Undecodable content under a valid envelope: schema drift or
 			// logical corruption. Fall through and recompute; the result's
@@ -489,14 +552,17 @@ func (r *Runner) runSpec(spec SimSpec, mod func(*sim.Config)) (sim.Result, RunIn
 		}
 		if fetch := r.peerFetch.Load(); fetch != nil {
 			if data, ok := (*fetch)(key); ok {
-				if res, err := DecodeResult(data); err == nil {
+				if res, err := r.decode(data); err == nil {
 					// Read-through repair: persist the raw payload bytes
 					// locally (byte-identity preserved — no re-encode), so
 					// the next membership-aware reader finds the entry where
 					// the ring says to look.
 					info.Source = SourcePeer
-					persisted := r.storePutRaw(key, data)
-					return cached{res: res}, !r.ephemeral() || !persisted
+					if r.storePutRaw(key, data) && r.ephemeral() {
+						r.noteDigest(key, sha256.Sum256(data))
+						return cached{res: res, data: data}, false
+					}
+					return cached{res: res}, true
 				}
 				// An undecodable peer payload is the fetcher's job to
 				// reject; a hook that leaks one through falls back to a
@@ -537,6 +603,14 @@ func (r *Runner) runSpec(spec SimSpec, mod func(*sim.Config)) (sim.Result, RunIn
 		// the result once its store write lands (see persistResult).
 		out := cached{res: res}
 		if q != nil {
+			// Encoded here, once, for the store write and for every bytes
+			// caller until that write lands.
+			if data, err := EncodeResult(res); err == nil {
+				out.data = data
+				if r.ephemeral() {
+					r.noteDigest(key, sha256.Sum256(data))
+				}
+			}
 			out.writes = Writes{done: q.done}
 		}
 		return out, true
@@ -549,11 +623,59 @@ func (r *Runner) runSpec(spec SimSpec, mod func(*sim.Config)) (sim.Result, RunIn
 		if q != nil {
 			// Queued only now that the result is in the cache, so that an
 			// ephemeral runner's drop cannot precede the publication.
-			q.ops <- func() { r.persistResult(key, c.res) }
+			q.ops <- func() { r.persistResult(key, c) }
 		}
 	}
+	if c.undecoded && !enc {
+		// A concurrent bytes caller's store hit, shared by this waiter.
+		res, err := r.decode(c.data)
+		if err != nil {
+			panic(fmt.Sprintf("exp: %s: stored payload matches its digest but does not decode: %v", spec.label(), err))
+		}
+		c.res, c.undecoded = res, false
+	}
 	info.Writes = c.writes
-	return c.res, info
+	return c, info
+}
+
+// storeHit checks a stored payload before runSpec serves it, reporting
+// false for one that does not decode. An ephemeral runner skips the
+// decode for a bytes caller (enc) when the payload's SHA-256 is the
+// digest it recorded for key: those exact bytes were encoded by this
+// runner or already accepted by DecodeResult. Other bytes are decoded,
+// and their digest is recorded only once the decode succeeds.
+func (r *Runner) storeHit(key store.Key, data []byte, enc bool) (cached, bool) {
+	if !r.ephemeral() {
+		res, err := r.decode(data)
+		return cached{res: res}, err == nil
+	}
+	sum := sha256.Sum256(data)
+	r.mu.Lock()
+	known, ok := r.digests[key]
+	r.mu.Unlock()
+	if enc && ok && known == sum {
+		return cached{data: data, undecoded: true}, true
+	}
+	res, err := r.decode(data)
+	if err != nil {
+		return cached{}, false
+	}
+	r.noteDigest(key, sum)
+	return cached{res: res, data: data}, true
+}
+
+// decode is DecodeResult for a payload read from the store or a peer.
+func (r *Runner) decode(data []byte) (sim.Result, error) {
+	r.decodes.Add(1)
+	return DecodeResult(data)
+}
+
+// noteDigest records the SHA-256 of the payload key's result was just
+// encoded to or decoded from. Only an ephemeral runner keeps digests.
+func (r *Runner) noteDigest(key store.Key, sum [sha256.Size]byte) {
+	r.mu.Lock()
+	r.digests[key] = sum
+	r.mu.Unlock()
 }
 
 // writeQueue carries one computation's store writes, in order, to a
@@ -739,9 +861,8 @@ func (r *Runner) RunAll(specs []SimSpec) (res Results, ok bool) {
 		}
 	}()
 	r.forEach(len(specs), func(i int) {
-		var info RunInfo
-		out[i], info = r.runSpec(specs[i], mods[i])
-		writes[i] = info.Writes
+		c, info := r.runSpec(specs[i], specs[i].Key(), mods[i], false)
+		out[i], writes[i] = c.res, info.Writes
 	})
 	if r.Interrupted() {
 		return nil, false
@@ -761,24 +882,27 @@ func (r *Runner) storeGet(key store.Key) ([]byte, bool) {
 	return r.opts.Store.Get(key)
 }
 
-// persistResult writes a computed result to the store; once it is there,
-// an ephemeral runner drops its in-memory copy. A failed write is counted
-// but not fatal: the result stays in memory, correct, and the store is
-// just colder than it could be.
-func (r *Runner) persistResult(key store.Key, res sim.Result) {
-	data, err := EncodeResult(res)
+// persistResult writes a computed result's encoding to the store; once
+// it is there, an ephemeral runner drops its in-memory copy, and any
+// other runner keeps the result without the encoding. A failed write is
+// counted but not fatal: the result stays in memory, correct, and the
+// store is just colder than it could be.
+func (r *Runner) persistResult(key store.Key, c cached) {
+	data, err := c.encoded()
 	if err == nil {
 		err = r.opts.Store.Put(key, data)
 	}
 	if err != nil {
 		r.storeErrs.Add(1)
+	}
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if err == nil && r.ephemeral() {
+		delete(r.cache, key)
 		return
 	}
-	if r.ephemeral() {
-		r.mu.Lock()
-		delete(r.cache, key)
-		r.mu.Unlock()
-	}
+	c.data = nil
+	r.cache[key] = c
 }
 
 // storePutRaw persists already-encoded result bytes (a verified peer

@@ -112,7 +112,7 @@ func TestRunPanicReleasesWaiters(t *testing.T) {
 	for i := 0; i < 2; i++ {
 		go func() {
 			defer func() { results <- recover() }()
-			r.runSpec(bad, nil)
+			r.runSpec(bad, bad.Key(), nil, false)
 		}()
 	}
 	for i := 0; i < 2; i++ {

@@ -61,13 +61,18 @@ func EncodeResult(r sim.Result) ([]byte, error) {
 
 // DecodeResult is the inverse of EncodeResult. Unknown fields are an
 // error: a payload written by a different wire format must read as
-// corrupt, not as a silently-partial result.
+// corrupt, not as a silently-partial result. So is anything but
+// whitespace after the result, since the serving layer sends accepted
+// payloads on as they are.
 func DecodeResult(data []byte) (sim.Result, error) {
 	var w resultWire
 	dec := json.NewDecoder(bytes.NewReader(data))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&w); err != nil {
 		return sim.Result{}, fmt.Errorf("exp: decode result: %w", err)
+	}
+	if rest := bytes.TrimLeft(data[dec.InputOffset():], " \t\r\n"); len(rest) > 0 {
+		return sim.Result{}, fmt.Errorf("exp: decode result: %d bytes after the result", len(rest))
 	}
 	r := sim.Result{
 		Mechanism:      w.Mechanism,

@@ -8,7 +8,7 @@ import (
 	"sync"
 
 	"dsarp/internal/exp"
-	"dsarp/internal/sim"
+	"dsarp/internal/store"
 )
 
 // jobEvent is one SSE frame: a completed task, or the job's completion.
@@ -101,20 +101,17 @@ func newJob(id, name string, specs []exp.SimSpec, experiment string, assemble fu
 	return j
 }
 
-// complete records a finished task and publishes its event. Called by
+// complete records a finished task — its key, and its result's
+// EncodeResult bytes or its error — and publishes its event. Called by
 // workers; at most once per index.
-func (j *job) complete(index int, spec exp.SimSpec, res sim.Result, src exp.RunSource, err error) {
-	out := taskOutcome{Index: index, Key: spec.Key().String()}
+func (j *job) complete(index int, spec exp.SimSpec, key store.Key, data []byte, src exp.RunSource, err error) {
+	out := taskOutcome{Index: index, Key: key.String()}
 	if err != nil {
 		out.Error = err.Error()
 	} else {
 		out.Source = src.String()
 		out.Cached = src.Cached()
-		if data, encErr := exp.EncodeResult(res); encErr == nil {
-			out.Result = data
-		} else {
-			out.Error = encErr.Error()
-		}
+		out.Result = data
 	}
 	j.record(spec, out)
 }

@@ -15,7 +15,6 @@ import (
 	"time"
 
 	"dsarp/internal/exp"
-	"dsarp/internal/sim"
 	"dsarp/internal/store"
 	"dsarp/internal/timing"
 )
@@ -264,9 +263,9 @@ func TestJobRegistryEviction(t *testing.T) {
 	r := newJobRegistry()
 	r.cap = 2
 	a := r.create("a", []exp.SimSpec{{}})
-	a.complete(0, exp.SimSpec{}, sim.Result{}, exp.SourceMemory, nil) // done
-	b := r.create("b", []exp.SimSpec{{}})                             // running
-	c := r.create("c", []exp.SimSpec{{}})                             // evicts a (done), not b
+	a.complete(0, exp.SimSpec{}, store.Key{}, nil, exp.SourceMemory, nil) // done
+	b := r.create("b", []exp.SimSpec{{}})                                 // running
+	c := r.create("c", []exp.SimSpec{{}})                                 // evicts a (done), not b
 	if _, ok := r.get(a.id); ok {
 		t.Error("finished job not evicted at cap")
 	}

@@ -46,7 +46,7 @@ import (
 	"time"
 
 	"dsarp/internal/exp"
-	"dsarp/internal/sim"
+	"dsarp/internal/store"
 	"dsarp/internal/telemetry"
 )
 
@@ -96,8 +96,9 @@ type task struct {
 }
 
 type taskReply struct {
-	res sim.Result
-	src exp.RunSource
+	data []byte // the result's EncodeResult bytes
+	key  store.Key
+	src  exp.RunSource
 	// resumedFrom is the checkpoint cycle the computation was restored
 	// from, 0 for a cold (or cache/store-served) run.
 	resumedFrom int64
@@ -261,18 +262,18 @@ func (s *Server) worker() {
 			t = tt
 		}
 		start := time.Now()
-		res, info, err := s.runner.RunSpecInfo(t.spec)
-		src := info.Source
+		data, info, err := s.runner.RunSpecEncoded(t.spec)
+		src, key := info.Source, info.Key
 		dur := time.Since(start)
 		for _, rej := range info.Rejected {
-			s.log.Warn("checkpoint rejected", "spec", t.spec.Key().String(), "err", rej)
+			s.log.Warn("checkpoint rejected", "spec", key.String(), "err", rej)
 		}
 		if err == nil {
 			s.metrics.simSeconds.With(src.String()).Observe(dur.Seconds())
 			if info.ResumedFrom > 0 {
 				s.metrics.resumeCycle.Observe(float64(info.ResumedFrom))
 				s.log.Info("resumed from checkpoint",
-					"spec", t.spec.Key().String(), "cycle", info.ResumedFrom)
+					"spec", key.String(), "cycle", info.ResumedFrom)
 			}
 		}
 		if err == nil && src == exp.SourceComputed {
@@ -282,16 +283,14 @@ func (s *Server) worker() {
 			// peer-served results are already replicated (or being repaired
 			// by the fetch path) — re-pushing them would only amplify load.
 			if s.peer != nil {
-				if data, encErr := exp.EncodeResult(res); encErr == nil {
-					s.peer.push(t.spec.Key(), data)
-				}
+				s.peer.push(key, data)
 			}
 		}
 		if s.trace != nil && t.trace != "" {
 			sp := telemetry.Span{
 				Trace:       t.trace,
 				Kind:        telemetry.SpanServe,
-				Spec:        t.spec.Key().String(),
+				Spec:        key.String(),
 				Label:       t.spec.Name + " " + t.spec.Mechanism,
 				Worker:      s.selfID,
 				ResumedFrom: info.ResumedFrom,
@@ -305,7 +304,7 @@ func (s *Server) worker() {
 			s.trace.Record(sp)
 		}
 		if t.reply != nil {
-			t.reply <- taskReply{res: res, src: src, resumedFrom: info.ResumedFrom, err: err}
+			t.reply <- taskReply{data: data, key: key, src: src, resumedFrom: info.ResumedFrom, err: err}
 		}
 		// The reply may precede the result's store write; the worker takes
 		// no next task until the write lands, which bounds the writes in
@@ -316,7 +315,7 @@ func (s *Server) worker() {
 		info.Writes.Wait()
 		s.release(1)
 		if t.job != nil {
-			t.job.complete(t.index, t.spec, res, src, err)
+			t.job.complete(t.index, t.spec, key, data, src, err)
 		}
 		s.tasks.Done()
 	}
@@ -403,7 +402,8 @@ func (s *Server) Drain(ctx context.Context) error {
 
 // --- handlers ---
 
-// simResponse is the POST /v1/sim reply.
+// simResponse is the POST /v1/sim reply. handleSim frames it by hand
+// (writeSimReply), byte for byte as writeJSON would write it.
 type simResponse struct {
 	Key    string `json:"key"`
 	Source string `json:"source"`
@@ -442,18 +442,7 @@ func (s *Server) handleSim(w http.ResponseWriter, r *http.Request) {
 		httpError(w, status, rep.err)
 		return
 	}
-	data, err := exp.EncodeResult(rep.res)
-	if err != nil {
-		httpError(w, http.StatusInternalServerError, err)
-		return
-	}
-	writeJSON(w, http.StatusOK, simResponse{
-		Key:         spec.Key().String(),
-		Source:      rep.src.String(),
-		Cached:      rep.src.Cached(),
-		ResumedFrom: rep.resumedFrom,
-		Result:      data,
-	})
+	writeSimReply(w, rep.key, rep.src, rep.resumedFrom, rep.data)
 }
 
 // sweepRequest is the POST /v1/sweep body.

@@ -21,15 +21,16 @@
 package store
 
 import (
-	"bufio"
+	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
+	"errors"
 	"fmt"
-	"io"
 	"io/fs"
 	"os"
 	"path/filepath"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 	"time"
@@ -353,7 +354,7 @@ func (s *Store) GetKind(k Key, kind Kind) ([]byte, bool) {
 	e, indexed := s.entries[ek]
 	s.mu.Unlock()
 
-	payload, err := readEntry(path)
+	payload, size, err := readEntry(path)
 	if err != nil {
 		s.mu.Lock()
 		defer s.mu.Unlock()
@@ -378,10 +379,6 @@ func (s *Store) GetKind(k Key, kind Kind) ([]byte, bool) {
 		return nil, false
 	}
 
-	var size int64
-	if fi, err := os.Stat(path); err == nil {
-		size = fi.Size()
-	}
 	s.mu.Lock()
 	s.clock++
 	if cur, ok := s.entries[ek]; ok {
@@ -402,43 +399,42 @@ func (s *Store) GetKind(k Key, kind Kind) ([]byte, bool) {
 	return payload, true
 }
 
-// readEntry reads and verifies one entry file.
-func readEntry(path string) ([]byte, error) {
-	f, err := os.Open(path)
+// readEntry reads and verifies one entry file, returning its payload and
+// the file's size.
+func readEntry(path string) ([]byte, int64, error) {
+	data, err := os.ReadFile(path)
 	if err != nil {
-		return nil, err
+		return nil, 0, err
 	}
-	defer f.Close()
-	fi, err := f.Stat()
-	if err != nil {
-		return nil, err
+	payload, err := parseEntry(data)
+	return payload, int64(len(data)), err
+}
+
+// parseEntry verifies the bytes of one entry file — the header line
+// PutKind writes, "<magic> <payload SHA-256 in hex> <payload length>",
+// then exactly that payload — and returns the payload.
+func parseEntry(data []byte) ([]byte, error) {
+	head, payload, ok := bytes.Cut(data, []byte{'\n'})
+	if !ok {
+		return nil, errors.New("store: short header")
 	}
-	br := bufio.NewReader(f)
-	head, err := br.ReadString('\n')
-	if err != nil {
-		return nil, fmt.Errorf("store: short header: %w", err)
-	}
-	var gotMagic, sum string
-	var n int64
-	if _, err := fmt.Sscanf(head, "%s %s %d", &gotMagic, &sum, &n); err != nil || gotMagic != magic || n < 0 {
+	gotMagic, rest, _ := bytes.Cut(head, []byte{' '})
+	sum, length, _ := bytes.Cut(rest, []byte{' '})
+	n, err := strconv.ParseInt(string(length), 10, 64)
+	if err != nil || string(gotMagic) != magic || n < 0 {
 		return nil, fmt.Errorf("store: malformed header %q", head)
 	}
-	// The declared length is untrusted until the hash checks out: bound it
-	// by the file's actual size so a corrupt header cannot demand an
-	// absurd allocation.
-	if n > fi.Size() {
-		return nil, fmt.Errorf("store: header claims %d payload bytes in a %d-byte file", n, fi.Size())
-	}
-	payload := make([]byte, n)
-	if _, err := io.ReadFull(br, payload); err != nil {
-		return nil, fmt.Errorf("store: truncated payload: %w", err)
-	}
-	if _, err := br.ReadByte(); err != io.EOF {
-		return nil, fmt.Errorf("store: trailing data after payload")
+	switch {
+	case int64(len(payload)) < n:
+		return nil, fmt.Errorf("store: truncated payload: %d of %d bytes", len(payload), n)
+	case int64(len(payload)) > n:
+		return nil, errors.New("store: trailing data after payload")
 	}
 	h := sha256.Sum256(payload)
-	if hex.EncodeToString(h[:]) != sum {
-		return nil, fmt.Errorf("store: payload hash mismatch")
+	var hexSum [2 * sha256.Size]byte
+	hex.Encode(hexSum[:], h[:])
+	if !bytes.Equal(hexSum[:], sum) {
+		return nil, errors.New("store: payload hash mismatch")
 	}
 	return payload, nil
 }

@@ -10,7 +10,7 @@ import (
 	"time"
 )
 
-func open(t *testing.T, dir string, opts Options) *Store {
+func open(t testing.TB, dir string, opts Options) *Store {
 	t.Helper()
 	s, err := Open(dir, opts)
 	if err != nil {
@@ -113,6 +113,13 @@ func TestCorruptionIsAMiss(t *testing.T) {
 			head[2] = []byte("99999999999999")
 			return os.WriteFile(path, append(append(bytes.Join(head, []byte(" ")), '\n'), b[i+1:]...), 0o666)
 		}},
+		{"malformed-header", func(path string) error {
+			b, err := os.ReadFile(path)
+			if err != nil {
+				return err
+			}
+			return os.WriteFile(path, append([]byte(magic+" 5\n"), b[bytes.IndexByte(b, '\n')+1:]...), 0o666)
+		}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			dir := t.TempDir()
@@ -143,6 +150,30 @@ func TestCorruptionIsAMiss(t *testing.T) {
 			}
 		})
 	}
+}
+
+// FuzzReadEntry feeds the entry decoder hostile bytes, as a damaged or
+// foreign file in the store directory could hold: no input panics, and
+// every entry PutKind writes reads back as the payload it stored.
+func FuzzReadEntry(f *testing.F) {
+	s := open(f, f.TempDir(), Options{})
+	payload := []byte(`{"ipc":[0.5,1.25]}`)
+	f.Add([]byte(fmt.Sprintf("%s %s %d\n%s", magic, KeyOf(payload), len(payload), payload)))
+	f.Add([]byte(magic + " 00 -1\n"))
+	f.Add([]byte(magic + "  \n\n"))
+	f.Add([]byte{})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if payload, err := parseEntry(data); err == nil && !bytes.HasSuffix(data, payload) {
+			t.Fatalf("entry %q parsed to a payload it does not end with: %q", data, payload)
+		}
+		k := KeyOf(data)
+		if err := s.Put(k, data); err != nil {
+			t.Fatal(err)
+		}
+		if got, ok := s.Get(k); !ok || !bytes.Equal(got, data) {
+			t.Fatalf("entry of %q read back as %q, %v", data, got, ok)
+		}
+	})
 }
 
 func TestByteCapEvictsLRU(t *testing.T) {
