@@ -73,9 +73,9 @@ func main() {
 		fatalf("%v", err)
 	}
 
-	ret := timing.Retention32ms
-	if *retention == 64 {
-		ret = timing.Retention64ms
+	ret := timing.Retention(*retention)
+	if ret != timing.Retention32ms && ret != timing.Retention64ms {
+		fatalf("unknown retention %d ms (want 32 or 64)", *retention)
 	}
 
 	eng, err := sim.ParseEngine(*engine)

@@ -30,15 +30,15 @@ type Adaptive struct {
 	rows4x int
 }
 
-// NewAdaptive builds the AR policy over a controller view; seed offsets the
-// refresh timer phase so independent channels decorrelate. The view's
-// timing parameters must be the standard (1x) set.
-func NewAdaptive(v sched.View, seed int64) *Adaptive {
-	g := v.Dev().Geometry()
+// NewAdaptive builds the AR policy over a controller; seed offsets the
+// refresh timer phase so independent channels decorrelate. The
+// controller's timing parameters must be the standard (1x) set.
+func NewAdaptive(ctl *sched.Controller, seed int64) *Adaptive {
+	g := ctl.Dev().Geometry()
 	return &Adaptive{
-		rankTimers: newRankTimers(v, seed),
+		rankTimers: newRankTimers(ctl, seed),
 		quarters:   make([]int, g.Ranks),
-		dur4x:      timing.NsToCycles(timing.CyclesToNs(v.Timing().TRFCab) / 1.63),
+		dur4x:      timing.NsToCycles(timing.CyclesToNs(ctl.Timing().TRFCab) / 1.63),
 		rows4x:     max(1, g.RowsPerRef/4),
 	}
 }
@@ -76,7 +76,7 @@ func (p *Adaptive) NextDeadline(now int64) int64 {
 			// An idle rank probes CanIssue(REFab) every cycle, but with the
 			// refresh not overdue it never drains; refabProbeDeadline names
 			// the first cycle the probe could succeed.
-			e := refabProbeDeadline(p.v.Dev(), r, p.banks, now)
+			e := refabProbeDeadline(p.ctl.Dev(), r, p.banks, now)
 			if e <= now {
 				return now
 			}
@@ -93,7 +93,7 @@ func (p *Adaptive) NextDeadline(now int64) int64 {
 
 // Tick implements sched.RefreshPolicy.
 func (p *Adaptive) Tick(now int64, _ bool) bool {
-	dev := p.v.Dev()
+	dev := p.ctl.Dev()
 	for r := 0; r < p.ranks; r++ {
 		p.accrue(r, now)
 		if p.owedN[r] == 0 && p.quarters[r] == 0 {
@@ -105,7 +105,7 @@ func (p *Adaptive) Tick(now int64, _ bool) bool {
 		if p.quarters[r] > 0 {
 			cmd := dram.Cmd{Kind: dram.CmdREFab, Rank: r, RefDur: p.dur4x, RefRows: p.rows4x}
 			if dev.CanIssue(cmd, now) {
-				p.v.IssueCmd(cmd, now)
+				p.ctl.IssueCmd(cmd, now)
 				p.quarters[r]--
 				if p.quarters[r] == 0 {
 					p.setForced(r, p.owedN[r] >= maxFlex)
@@ -123,7 +123,7 @@ func (p *Adaptive) Tick(now int64, _ bool) bool {
 			// Idle rank: standard 1x refresh.
 			cmd := dram.Cmd{Kind: dram.CmdREFab, Rank: r}
 			if dev.CanIssue(cmd, now) {
-				p.v.IssueCmd(cmd, now)
+				p.ctl.IssueCmd(cmd, now)
 				p.owedN[r]--
 				return true
 			}

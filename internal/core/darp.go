@@ -24,14 +24,9 @@ import (
 //
 // Paired with a SARP-enabled device this is the paper's DSARP.
 type DARP struct {
-	v    sched.View
-	dev  *dram.Device // v.Dev(), cached: immutable for the policy's lifetime
-	slab []int        // v.PendingDemandSlab(), cached: stable per the View contract
-	// ctl is v's concrete type when it is the stock controller (the only
-	// implementation outside tests): the per-cycle queries — zero epoch,
-	// rank demand, write mode — dispatch directly and inline instead of
-	// through the interface.
 	ctl    *sched.Controller
+	dev    *dram.Device // ctl.Dev(), cached: immutable for the policy's lifetime
+	slab   []int        // ctl.PendingDemandSlab(), cached: stable for the controller's lifetime
 	opts   DARPOptions
 	rng    *snap.Rand // counts its draws so snapshots can replay the stream
 	scheds []*bankSchedule
@@ -45,7 +40,7 @@ type DARP struct {
 	// demand-free and past their pull-in threshold — the candidate set of
 	// Fig. 8's idle-bank refresh, consumed by Tick's pickIdleBank,
 	// NextDeadline's step-4 deadline, and Skip's rng replay. Valid while
-	// the controller's demand epoch is unchanged, no refresh has been
+	// the controller's demand zero epoch is unchanged, no refresh has been
 	// recorded, and now is before the next pull-in crossing (eligJoin).
 	eligValid bool
 	eligEpoch uint64
@@ -84,16 +79,14 @@ type DARPOptions struct {
 	MaxPostpone int
 }
 
-// NewDARP builds a DARP policy over a controller view. seed drives the
-// random idle-bank selection of Fig. 8 (step 3) deterministically.
-func NewDARP(v sched.View, opts DARPOptions, seed int64) *DARP {
-	g := v.Dev().Geometry()
-	ctl, _ := v.(*sched.Controller)
+// NewDARP builds a DARP policy over a controller. seed drives the random
+// idle-bank selection of Fig. 8 (step 3) deterministically.
+func NewDARP(ctl *sched.Controller, opts DARPOptions, seed int64) *DARP {
+	g := ctl.Dev().Geometry()
 	p := &DARP{
-		v:      v,
-		dev:    v.Dev(),
-		slab:   v.PendingDemandSlab(),
 		ctl:    ctl,
+		dev:    ctl.Dev(),
+		slab:   ctl.PendingDemandSlab(),
 		opts:   opts,
 		rng:    snap.NewRand(seed),
 		scheds: make([]*bankSchedule, g.Ranks),
@@ -102,36 +95,13 @@ func NewDARP(v sched.View, opts DARPOptions, seed int64) *DARP {
 		ranks:  g.Ranks,
 		banks:  g.Banks,
 	}
-	base := phaseOffset(seed, int64(v.Timing().TREFIpb))
+	tREFIpb := int64(ctl.Timing().TREFIpb)
+	base := phaseOffset(seed, tREFIpb)
 	for r := 0; r < g.Ranks; r++ {
-		p.scheds[r] = newBankSchedule(g.Banks, int64(v.Timing().TREFIpb), int64(opts.MaxPostpone), base)
+		p.scheds[r] = newBankSchedule(g.Banks, tREFIpb, int64(opts.MaxPostpone), base)
 		p.forced[r] = make([]bool, g.Banks)
 	}
 	return p
-}
-
-// zeroEpoch, rankDemand, and writeMode are the per-cycle View queries,
-// routed through the concrete controller when available (nil-check plus an
-// inlinable direct call instead of interface dispatch).
-func (p *DARP) zeroEpoch() uint64 {
-	if p.ctl != nil {
-		return p.ctl.DemandZeroEpoch()
-	}
-	return p.v.DemandZeroEpoch()
-}
-
-func (p *DARP) rankDemand(r int) int {
-	if p.ctl != nil {
-		return p.ctl.PendingRankDemand(r)
-	}
-	return p.v.PendingRankDemand(r)
-}
-
-func (p *DARP) writeMode() bool {
-	if p.ctl != nil {
-		return p.ctl.WriteMode()
-	}
-	return p.v.WriteMode()
 }
 
 // Name implements sched.RefreshPolicy.
@@ -146,19 +116,16 @@ func (p *DARP) Name() string {
 	}
 }
 
-// RankBlocked implements sched.RefreshPolicy.
-func (p *DARP) RankBlocked(int) bool { return false }
-
-// BankBlocked implements sched.RefreshPolicy: a bank is held only when it
-// has exhausted its postponement credit and must refresh now.
-func (p *DARP) BankBlocked(rank, bank int) bool { return p.forced[rank][bank] }
+// Blocked implements sched.RefreshPolicy: a bank is held only when it has
+// exhausted its postponement credit and must refresh now.
+func (p *DARP) Blocked(rank, bank int) bool { return p.forced[rank][bank] }
 
 // setForced updates a bank's forced flag, bumping the controller's blocked
 // epoch on change.
 func (p *DARP) setForced(r, b int, v bool) {
 	if p.forced[r][b] != v {
 		p.forced[r][b] = v
-		p.v.NoteBlockedChanged()
+		p.ctl.NoteBlockedChanged()
 	}
 }
 
@@ -187,7 +154,7 @@ func (p *DARP) Tick(now int64, demandReady bool) bool {
 				p.setForced(r, b, sch.mustRefresh(b, now))
 				return true
 			}
-			if drainBank(p.v, r, b, now) {
+			if drainBank(p.ctl, r, b, now) {
 				return true
 			}
 		}
@@ -196,8 +163,8 @@ func (p *DARP) Tick(now int64, demandReady bool) bool {
 	// 2. Write-refresh parallelization (Algorithm 1): during writeback mode
 	// keep one refresh in flight, on the bank with the fewest pending
 	// demand requests (its delay least extends the drain).
-	if p.opts.WriteRefresh && p.writeMode() {
-		if ze := p.zeroEpoch(); !p.wmValid || p.wmZeroEpoch != ze {
+	if p.opts.WriteRefresh && p.ctl.WriteMode() {
+		if ze := p.ctl.DemandZeroEpoch(); !p.wmValid || p.wmZeroEpoch != ze {
 			if p.wmNextAt == nil {
 				p.wmNextAt = make([]int64, p.ranks)
 			}
@@ -290,7 +257,7 @@ func (p *DARP) NextDeadline(now int64) int64 {
 	// sweep touches nothing (the min-pending pick runs only after the
 	// rank clears), so the next action is the earliest completion.
 	dev := p.dev
-	if p.opts.WriteRefresh && p.writeMode() {
+	if p.opts.WriteRefresh && p.ctl.WriteMode() {
 		for r := range p.scheds {
 			busy := dev.RefreshBusyUntil(r)
 			if now >= busy {
@@ -328,7 +295,7 @@ func (p *DARP) NextDeadline(now int64) int64 {
 // recorded (pull-in thresholds move), or the clock reaches the next pull-in
 // crossing — all of which invalidate it.
 func (p *DARP) eligCache(now int64) {
-	ep := p.zeroEpoch()
+	ep := p.ctl.DemandZeroEpoch()
 	if p.eligValid && p.eligEpoch == ep && now < p.eligJoin {
 		return
 	}
@@ -342,7 +309,7 @@ func (p *DARP) eligCache(now int64) {
 	slab := p.slab
 	for r := range p.scheds {
 		sch := p.scheds[r]
-		rankIdle := p.rankDemand(r) == 0
+		rankIdle := p.ctl.PendingRankDemand(r) == 0
 		elig := p.eligList[r][:0]
 		base := r * p.banks
 		for b := 0; b < p.banks; b++ {
@@ -398,7 +365,7 @@ func (p *DARP) tryRefresh(rank, bank int, now int64) bool {
 	if !p.dev.CanIssue(cmd, now) {
 		return false
 	}
-	p.v.IssueCmd(cmd, now)
+	p.ctl.IssueCmd(cmd, now)
 	p.scheds[rank].record(bank)
 	p.eligValid = false // pull-in thresholds moved
 	p.wmValid = false

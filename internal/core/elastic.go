@@ -24,14 +24,14 @@ type Elastic struct {
 	avgIdle []float64
 }
 
-// NewElastic builds the elastic refresh policy over a controller view.
-// seed offsets the refresh timer phase so independent channels decorrelate.
-func NewElastic(v sched.View, seed int64) *Elastic {
-	p := &Elastic{rankTimers: newRankTimers(v, seed)}
+// NewElastic builds the elastic refresh policy over a controller. seed
+// offsets the refresh timer phase so independent channels decorrelate.
+func NewElastic(ctl *sched.Controller, seed int64) *Elastic {
+	p := &Elastic{rankTimers: newRankTimers(ctl, seed)}
 	p.idleRun = make([]int64, p.ranks)
 	p.avgIdle = make([]float64, p.ranks)
 	for r := range p.avgIdle {
-		p.avgIdle[r] = float64(v.Timing().TRFCab) // optimistic prior
+		p.avgIdle[r] = float64(ctl.Timing().TRFCab) // optimistic prior
 	}
 	return p
 }
@@ -85,7 +85,7 @@ func (p *Elastic) NextDeadline(now int64) int64 {
 			// Released but not forced: the policy probes CanIssue(REFab)
 			// every cycle without draining; refabProbeDeadline names the
 			// first cycle the probe could succeed.
-			e := refabProbeDeadline(p.v.Dev(), r, p.banks, now)
+			e := refabProbeDeadline(p.ctl.Dev(), r, p.banks, now)
 			if e <= now {
 				return now
 			}
@@ -111,7 +111,7 @@ func (p *Elastic) Skip(from, to int64) {
 
 // Tick implements sched.RefreshPolicy.
 func (p *Elastic) Tick(now int64, _ bool) bool {
-	dev := p.v.Dev()
+	dev := p.ctl.Dev()
 	issuedSlot := false
 	for r := 0; r < p.ranks; r++ {
 		p.accrue(r, now)
@@ -138,7 +138,7 @@ func (p *Elastic) Tick(now int64, _ bool) bool {
 		}
 		cmd := dram.Cmd{Kind: dram.CmdREFab, Rank: r}
 		if dev.CanIssue(cmd, now) {
-			p.v.IssueCmd(cmd, now)
+			p.ctl.IssueCmd(cmd, now)
 			p.owedN[r]--
 			p.setForced(r, false)
 			issuedSlot = true

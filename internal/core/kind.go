@@ -104,26 +104,26 @@ func (k Kind) RefMode() timing.RefMode {
 	}
 }
 
-// New constructs the mechanism's scheduling policy over a controller view.
-// seed feeds DARP's randomized idle-bank selection.
-func New(k Kind, v sched.View, seed int64) sched.RefreshPolicy {
+// New constructs the mechanism's scheduling policy over a controller. seed
+// feeds DARP's randomized idle-bank selection.
+func New(k Kind, ctl *sched.Controller, seed int64) sched.RefreshPolicy {
 	switch k {
 	case KindNoRef:
 		return sched.NoRefresh{}
 	case KindREFab, KindSARPab, KindFGR2x, KindFGR4x:
-		return NewAllBank(v, seed)
+		return NewAllBank(ctl, seed)
 	case KindREFpb, KindSARPpb:
-		return NewPerBank(v, seed)
+		return NewPerBank(ctl, seed)
 	case KindElastic:
-		return NewElastic(v, seed)
+		return NewElastic(ctl, seed)
 	case KindDARPOoO:
-		return NewDARP(v, DARPOptions{WriteRefresh: false}, seed)
+		return NewDARP(ctl, DARPOptions{WriteRefresh: false}, seed)
 	case KindDARP, KindDSARP:
-		return NewDARP(v, DARPOptions{WriteRefresh: true}, seed)
+		return NewDARP(ctl, DARPOptions{WriteRefresh: true}, seed)
 	case KindAR:
-		return NewAdaptive(v, seed)
+		return NewAdaptive(ctl, seed)
 	case KindPause:
-		return NewPausing(v, seed)
+		return NewPausing(ctl, seed)
 	default:
 		panic(fmt.Sprintf("core: unknown kind %d", int(k)))
 	}

@@ -34,16 +34,16 @@ type Pausing struct {
 // of the standard 8-row refresh op.
 const PauseSegments = 8
 
-// NewPausing builds the refresh pausing policy over a controller view.
-func NewPausing(v sched.View, seed int64) *Pausing {
-	g := v.Dev().Geometry()
-	tp := v.Timing()
+// NewPausing builds the refresh pausing policy over a controller.
+func NewPausing(ctl *sched.Controller, seed int64) *Pausing {
+	g := ctl.Dev().Geometry()
+	tp := ctl.Timing()
 	segs := PauseSegments
 	if g.RowsPerRef < segs {
 		segs = g.RowsPerRef
 	}
 	return &Pausing{
-		rankTimers: newRankTimers(v, seed),
+		rankTimers: newRankTimers(ctl, seed),
 		segs:       make([]int, g.Ranks),
 		segments:   segs,
 		segDur:     max(1, tp.TRFCab/segs),
@@ -90,7 +90,7 @@ func (p *Pausing) NextDeadline(now int64) int64 {
 
 // Tick implements sched.RefreshPolicy.
 func (p *Pausing) Tick(now int64, _ bool) bool {
-	dev := p.v.Dev()
+	dev := p.ctl.Dev()
 	for r := 0; r < p.ranks; r++ {
 		p.accrue(r, now)
 		if p.owedN[r] == 0 && p.segs[r] == 0 {
@@ -111,7 +111,7 @@ func (p *Pausing) Tick(now int64, _ bool) bool {
 		}
 		cmd := dram.Cmd{Kind: dram.CmdREFab, Rank: r, RefDur: p.segDur, RefRows: p.segRows}
 		if dev.CanIssue(cmd, now) {
-			p.v.IssueCmd(cmd, now)
+			p.ctl.IssueCmd(cmd, now)
 			p.segs[r]--
 			return true
 		}

@@ -35,7 +35,7 @@ func newRig(t *testing.T, k Kind, seed int64) *rig {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ctrl := sched.NewController(dev, sched.DefaultConfig(), nil)
+	ctrl := sched.NewController(dev, sched.DefaultConfig())
 	ctrl.SetPolicy(New(k, ctrl, seed))
 	return &rig{dev: dev, ctrl: ctrl, tp: tp, rng: rand.New(rand.NewSource(seed))}
 }

@@ -10,10 +10,10 @@ import (
 // released: each rank's next nominal REFab on a staggered tREFIab grid,
 // its count of refreshes due but not yet issued, and the flag that holds
 // demand off a rank whose refresh can wait no longer. Embedding it gives
-// a policy that flag as RankBlocked, and the no-op BankBlocked and Skip of
-// a rank-granular scheduler.
+// a policy that flag as the Blocked answer of every bank in the rank, and
+// the no-op Skip of a rank-granular scheduler.
 type rankTimers struct {
-	v      sched.View
+	ctl    *sched.Controller
 	ranks  int
 	banks  int
 	tREFI  int64
@@ -22,11 +22,11 @@ type rankTimers struct {
 	forced []bool  // per-rank: the refresh is forced, demand is held
 }
 
-func newRankTimers(v sched.View, seed int64) rankTimers {
-	g := v.Dev().Geometry()
-	tREFI := int64(v.Timing().TREFIab)
+func newRankTimers(ctl *sched.Controller, seed int64) rankTimers {
+	g := ctl.Dev().Geometry()
+	tREFI := int64(ctl.Timing().TREFIab)
 	return rankTimers{
-		v:      v,
+		ctl:    ctl,
 		ranks:  g.Ranks,
 		banks:  g.Banks,
 		tREFI:  tREFI,
@@ -49,14 +49,10 @@ func staggeredTimers(seed, tREFI int64, ranks int) []int64 {
 	return next
 }
 
-// RankBlocked implements sched.RefreshPolicy: demand is held only while
-// the rank's refresh is forced, that is, can no longer be postponed or
-// paused.
-func (t *rankTimers) RankBlocked(rank int) bool { return t.forced[rank] }
-
-// BankBlocked implements sched.RefreshPolicy: all-bank schedulers hold
-// whole ranks, never single banks.
-func (t *rankTimers) BankBlocked(int, int) bool { return false }
+// Blocked implements sched.RefreshPolicy: demand to the whole rank is
+// held only while the rank's refresh is forced, that is, can no longer be
+// postponed or paused.
+func (t *rankTimers) Blocked(rank, _ int) bool { return t.forced[rank] }
 
 // Skip implements sched.RefreshPolicy: no per-cycle accounting.
 func (t *rankTimers) Skip(int64, int64) {}
@@ -66,12 +62,12 @@ func (t *rankTimers) Skip(int64, int64) {}
 func (t *rankTimers) setForced(r int, v bool) {
 	if t.forced[r] != v {
 		t.forced[r] = v
-		t.v.NoteBlockedChanged()
+		t.ctl.NoteBlockedChanged()
 	}
 }
 
 // rankIdle reports whether the rank has no queued demand.
-func (t *rankTimers) rankIdle(rank int) bool { return t.v.PendingRankDemand(rank) == 0 }
+func (t *rankTimers) rankIdle(rank int) bool { return t.ctl.PendingRankDemand(rank) == 0 }
 
 // accrue counts the rank's refreshes whose nominal time has come, up to
 // the JEDEC postponement budget of maxFlex.
@@ -91,7 +87,7 @@ func (t *rankTimers) overdue(r int, now int64) bool {
 // drainRank issues one precharge toward making the rank refreshable.
 func (t *rankTimers) drainRank(rank int, now int64) bool {
 	for b := 0; b < t.banks; b++ {
-		if drainBank(t.v, rank, b, now) {
+		if drainBank(t.ctl, rank, b, now) {
 			return true
 		}
 	}
@@ -102,8 +98,8 @@ func (t *rankTimers) drainRank(rank int, now int64) bool {
 // pending refresh and reports whether it did. With SARP only a row in the
 // subarray being refreshed is in the way; every other row keeps serving
 // during the refresh.
-func drainBank(v sched.View, rank, bank int, now int64) bool {
-	dev := v.Dev()
+func drainBank(ctl *sched.Controller, rank, bank int, now int64) bool {
+	dev := ctl.Dev()
 	open := dev.OpenRow(rank, bank)
 	if open == dram.NoRow {
 		return false
@@ -115,6 +111,6 @@ func drainBank(v sched.View, rank, bank int, now int64) bool {
 	if !dev.CanIssue(cmd, now) {
 		return false
 	}
-	v.IssueCmd(cmd, now)
+	ctl.IssueCmd(cmd, now)
 	return true
 }

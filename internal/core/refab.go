@@ -25,14 +25,14 @@ type AllBank struct {
 	refRows int // rows per refresh op (scaled down under FGR)
 }
 
-// NewAllBank builds the REFab policy over a controller view. seed offsets
+// NewAllBank builds the REFab policy over a controller. seed offsets
 // the refresh timer phase so independent channels decorrelate. Under an FGR
 // timing mode (Fig. 16) the same scheduler runs at the scaled 2x/4x rate
 // with proportionally fewer rows restored per command.
-func NewAllBank(v sched.View, seed int64) *AllBank {
-	g := v.Dev().Geometry()
-	p := &AllBank{rankTimers: newRankTimers(v, seed)}
-	switch v.Timing().Mode {
+func NewAllBank(ctl *sched.Controller, seed int64) *AllBank {
+	g := ctl.Dev().Geometry()
+	p := &AllBank{rankTimers: newRankTimers(ctl, seed)}
+	switch ctl.Timing().Mode {
 	case timing.RefFGR2x:
 		p.refRows = max(1, g.RowsPerRef/2)
 	case timing.RefFGR4x:
@@ -44,21 +44,21 @@ func NewAllBank(v sched.View, seed int64) *AllBank {
 // Name implements sched.RefreshPolicy.
 func (p *AllBank) Name() string {
 	switch {
-	case p.v.Dev().SARP():
+	case p.ctl.Dev().SARP():
 		return "SARPab"
-	case p.v.Timing().Mode == timing.RefFGR2x:
+	case p.ctl.Timing().Mode == timing.RefFGR2x:
 		return "FGR2x"
-	case p.v.Timing().Mode == timing.RefFGR4x:
+	case p.ctl.Timing().Mode == timing.RefFGR4x:
 		return "FGR4x"
 	default:
 		return "REFab"
 	}
 }
 
-// RankBlocked implements sched.RefreshPolicy: demand is held while a rank
-// drains for a due refresh. With SARP there is no need to drain — the rank
-// stays accessible during refresh — so nothing is blocked.
-func (p *AllBank) RankBlocked(rank int) bool { return !p.v.Dev().SARP() && p.forced[rank] }
+// Blocked implements sched.RefreshPolicy: demand to the whole rank is held
+// while it drains for a due refresh. With SARP there is no need to drain —
+// the rank stays accessible during refresh — so nothing is blocked.
+func (p *AllBank) Blocked(rank, _ int) bool { return !p.ctl.Dev().SARP() && p.forced[rank] }
 
 // NextDeadline implements sched.RefreshPolicy. A rank with a due refresh is
 // active only while it drains open banks or could actually issue; once the
@@ -68,7 +68,7 @@ func (p *AllBank) RankBlocked(rank int) bool { return !p.v.Dev().SARP() && p.for
 // their refresh legality depends on subarray state.
 func (p *AllBank) NextDeadline(now int64) int64 {
 	ev := int64(math.MaxInt64)
-	dev := p.v.Dev()
+	dev := p.ctl.Dev()
 	for r := 0; r < p.ranks; r++ {
 		if now >= p.next[r] && !p.forced[r] {
 			return now // due flag flips this cycle
@@ -114,7 +114,7 @@ func (p *AllBank) NextDeadline(now int64) int64 {
 
 // Tick implements sched.RefreshPolicy.
 func (p *AllBank) Tick(now int64, _ bool) bool {
-	dev := p.v.Dev()
+	dev := p.ctl.Dev()
 	for r := 0; r < p.ranks; r++ {
 		if now >= p.next[r] {
 			p.setForced(r, true)
@@ -124,7 +124,7 @@ func (p *AllBank) Tick(now int64, _ bool) bool {
 		}
 		cmd := dram.Cmd{Kind: dram.CmdREFab, Rank: r, RefRows: p.refRows}
 		if dev.CanIssue(cmd, now) {
-			p.v.IssueCmd(cmd, now)
+			p.ctl.IssueCmd(cmd, now)
 			p.next[r] += p.tREFI
 			p.setForced(r, now >= p.next[r]) // back-to-back if we fell behind
 			return true

@@ -17,48 +17,41 @@ import (
 // Paired with a SARP-enabled device this is the paper's SARPpb
 // configuration.
 type PerBank struct {
-	v     sched.View
+	ctl   *sched.Controller
 	ranks int
-	banks int
 	next  []int64 // per-rank next nominal refresh time
 	owedN []int64 // per-rank refreshes due but not yet issued
 }
 
-// NewPerBank builds the round-robin REFpb policy over a controller view.
-// seed offsets the refresh timer phase so independent channels decorrelate.
-func NewPerBank(v sched.View, seed int64) *PerBank {
-	g := v.Dev().Geometry()
+// NewPerBank builds the round-robin REFpb policy over a controller. seed
+// offsets the refresh timer phase so independent channels decorrelate.
+func NewPerBank(ctl *sched.Controller, seed int64) *PerBank {
+	g := ctl.Dev().Geometry()
 	// Rank schedules are staggered half a tREFIpb apart so the two ranks'
 	// refresh pulses interleave, as independent per-rank refresh timers
 	// would.
 	return &PerBank{
-		v:     v,
+		ctl:   ctl,
 		ranks: g.Ranks,
-		banks: g.Banks,
-		next:  staggeredTimers(seed, int64(v.Timing().TREFIpb), g.Ranks),
+		next:  staggeredTimers(seed, int64(ctl.Timing().TREFIpb), g.Ranks),
 		owedN: make([]int64, g.Ranks),
 	}
 }
 
 // Name implements sched.RefreshPolicy.
 func (p *PerBank) Name() string {
-	if p.v.Dev().SARP() {
+	if p.ctl.Dev().SARP() {
 		return "SARPpb"
 	}
 	return "REFpb"
 }
 
-// RankBlocked implements sched.RefreshPolicy.
-func (p *PerBank) RankBlocked(int) bool { return false }
-
-// BankBlocked implements sched.RefreshPolicy: the round-robin target bank is
+// Blocked implements sched.RefreshPolicy: the round-robin target bank is
 // held while its refresh is pending (no SARP: the whole bank is tied up, so
 // queued demand would only delay the mandatory refresh).
-func (p *PerBank) BankBlocked(rank, bank int) bool {
-	if p.v.Dev().SARP() {
-		return false
-	}
-	return p.owedN[rank] > 0 && p.v.Dev().RefreshUnit(rank).PeekBank() == bank
+func (p *PerBank) Blocked(rank, bank int) bool {
+	dev := p.ctl.Dev()
+	return !dev.SARP() && p.owedN[rank] > 0 && dev.RefreshUnit(rank).PeekBank() == bank
 }
 
 // NextDeadline implements sched.RefreshPolicy. A rank with owed refreshes
@@ -68,7 +61,7 @@ func (p *PerBank) BankBlocked(rank, bank int) bool {
 // provably rejected and the whole wait is skippable.
 func (p *PerBank) NextDeadline(now int64) int64 {
 	ev := int64(math.MaxInt64)
-	dev := p.v.Dev()
+	dev := p.ctl.Dev()
 	for r := 0; r < p.ranks; r++ {
 		if now >= p.next[r] {
 			return now // owed count accrues this cycle
@@ -111,12 +104,12 @@ func (p *PerBank) Skip(int64, int64) {}
 
 // Tick implements sched.RefreshPolicy.
 func (p *PerBank) Tick(now int64, _ bool) bool {
-	tREFIpb := int64(p.v.Timing().TREFIpb)
-	dev := p.v.Dev()
+	tREFIpb := int64(p.ctl.Timing().TREFIpb)
+	dev := p.ctl.Dev()
 	for r := 0; r < p.ranks; r++ {
 		for now >= p.next[r] {
 			if p.owedN[r] == 0 {
-				p.v.NoteBlockedChanged() // bank block engages
+				p.ctl.NoteBlockedChanged() // bank block engages
 			}
 			p.owedN[r]++
 			p.next[r] += tREFIpb
@@ -127,12 +120,12 @@ func (p *PerBank) Tick(now int64, _ bool) bool {
 		bank := dev.RefreshUnit(r).PeekBank()
 		cmd := dram.Cmd{Kind: dram.CmdREFpb, Rank: r, Bank: bank}
 		if dev.CanIssue(cmd, now) {
-			p.v.IssueCmd(cmd, now)
+			p.ctl.IssueCmd(cmd, now)
 			p.owedN[r]--
-			p.v.NoteBlockedChanged() // owed count or round-robin bank changed
+			p.ctl.NoteBlockedChanged() // owed count or round-robin bank changed
 			return true
 		}
-		if drainBank(p.v, r, bank, now) {
+		if drainBank(p.ctl, r, bank, now) {
 			return true
 		}
 	}

@@ -998,8 +998,8 @@ func (r *Runner) progress(done int, label string) {
 // configuration (ablations).
 func darpVariant(opts core.DARPOptions) func(*sim.Config) {
 	return func(c *sim.Config) {
-		c.Policy = func(v sched.View, seed int64) sched.RefreshPolicy {
-			return core.NewDARP(v, opts, seed)
+		c.Policy = func(ctl *sched.Controller, seed int64) sched.RefreshPolicy {
+			return core.NewDARP(ctl, opts, seed)
 		}
 	}
 }

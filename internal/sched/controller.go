@@ -85,19 +85,20 @@ type Controller struct {
 	missEpoch   uint64
 
 	// blockedEpoch is bumped by the attached policy via NoteBlockedChanged
-	// whenever a RankBlocked/BankBlocked answer may have changed (see the
-	// View contract). Controller-owned so the per-cycle staleness checks
-	// read a field instead of dispatching through the policy interface.
+	// whenever a Blocked answer may have changed. Controller-owned so the
+	// per-cycle staleness checks read a field instead of dispatching
+	// through the policy interface.
 	blockedEpoch uint64
 
-	demandEpoch uint64 // bumped whenever a request is admitted or leaves a queue
+	// demandEpoch counts admissions and dequeues. Nothing reads it, but
+	// snapshots carry it; the next snap.Version bump deletes it.
+	demandEpoch uint64
 
-	// Snapshot of the policy's Rank/BankBlocked answers, rebuilt whenever
+	// Snapshot of the policy's Blocked answers, rebuilt whenever
 	// blockedEpoch moves (the NoteBlockedChanged contract guarantees every
-	// change bumps it). Demand scans probe blocked state twice per bank, so the
-	// snapshot turns two interface calls per probe into one slice read —
-	// and blockedAny short-circuits the scan entirely in the common
-	// nothing-blocked state.
+	// change bumps it). The snapshot turns an interface call per probed
+	// bank into one slice read — and blockedAny short-circuits the scan
+	// entirely in the common nothing-blocked state.
 	blockedSeen uint64
 	blockedInit bool
 	blockedAny  bool
@@ -123,16 +124,14 @@ type Controller struct {
 	stats Stats
 }
 
-// NewController builds a controller over dev. policy may be nil (NoRefresh).
-func NewController(dev *dram.Device, cfg Config, policy RefreshPolicy) *Controller {
+// NewController builds a controller over dev. Its refresh policy is
+// NoRefresh until SetPolicy attaches one.
+func NewController(dev *dram.Device, cfg Config) *Controller {
 	if cfg.ReadQueueCap <= 0 || cfg.WriteQueueCap <= 0 {
 		panic(fmt.Sprintf("sched: queue capacities must be positive: %+v", cfg))
 	}
 	if cfg.WriteLow < 0 || cfg.WriteHigh > cfg.WriteQueueCap || cfg.WriteLow >= cfg.WriteHigh {
 		panic(fmt.Sprintf("sched: invalid write watermarks: %+v", cfg))
-	}
-	if policy == nil {
-		policy = NoRefresh{}
 	}
 	g := dev.Geometry()
 	return &Controller{
@@ -140,7 +139,7 @@ func NewController(dev *dram.Device, cfg Config, policy RefreshPolicy) *Controll
 		tp:          dev.Timing(),
 		geom:        g,
 		cfg:         cfg,
-		policy:      policy,
+		policy:      NoRefresh{},
 		readIx:      newQueueIndex(g.Ranks, g.Banks),
 		writeIx:     newQueueIndex(g.Ranks, g.Banks),
 		writeAddrs:  make(map[uint64]struct{}, cfg.WriteQueueCap),
@@ -155,8 +154,8 @@ func NewController(dev *dram.Device, cfg Config, policy RefreshPolicy) *Controll
 func (c *Controller) Policy() RefreshPolicy { return c.policy }
 
 // SetPolicy replaces the refresh policy. Policies are built over the
-// controller's View, so construction is two-phase: NewController(dev, cfg,
-// nil) then SetPolicy(core.New(kind, ctrl, seed)).
+// controller, so construction is two-phase: NewController(dev, cfg) then
+// SetPolicy(core.New(kind, ctrl, seed)).
 func (c *Controller) SetPolicy(p RefreshPolicy) {
 	if p == nil {
 		p = NoRefresh{}
@@ -170,37 +169,49 @@ func (c *Controller) SetPolicy(p RefreshPolicy) {
 // Stats returns accumulated controller statistics.
 func (c *Controller) Stats() Stats { return c.stats }
 
-// Dev implements View.
+// The methods below are the surface a refresh policy drives the
+// controller through.
+
+// Dev is the DRAM device behind this channel.
 func (c *Controller) Dev() *dram.Device { return c.dev }
 
-// Timing implements View.
+// Timing is the active timing parameter set.
 func (c *Controller) Timing() timing.Params { return c.tp }
 
-// PendingDemand implements View.
-func (c *Controller) PendingDemand(rank, bank int) int { return c.pending.Demand(rank, bank) }
-
-// PendingDemandSlab implements View.
+// PendingDemandSlab is the live per-bank reads+writes table, indexed by
+// flat bank id rank*Banks+bank. Policies that sweep every bank each
+// decision (DARP's eligibility rebuild) read it directly. The returned
+// slice is stable for the controller's lifetime — policies may cache it at
+// construction — but must never be mutated.
 func (c *Controller) PendingDemandSlab() []int { return c.pending.demand }
 
-// PendingRankDemand implements View.
-func (c *Controller) PendingRankDemand(rank int) int { return c.pending.Rank(rank) }
+// PendingRankDemand is the number of queued reads+writes for a whole rank
+// — the O(1) form of the per-bank sum that idle-rank checks (Elastic, AR,
+// Pausing) would otherwise rebuild every cycle.
+func (c *Controller) PendingRankDemand(rank int) int { return c.pending.rank[rank] }
 
-// PendingReads implements View.
-func (c *Controller) PendingReads(rank, bank int) int { return c.pending.Reads(rank, bank) }
-
-// WriteMode implements View.
+// WriteMode reports whether the controller is draining a write batch.
 func (c *Controller) WriteMode() bool { return c.wmode }
 
-// DemandEpoch implements View.
-func (c *Controller) DemandEpoch() uint64 { return c.demandEpoch }
-
-// DemandZeroEpoch implements View.
+// DemandZeroEpoch is a counter that bumps exactly when some bank's or
+// rank's pending-demand count crosses 0 <-> nonzero. Policies whose cached
+// decisions depend only on which banks/ranks are idle key on it: under
+// saturated traffic the counts move every cycle but rarely touch zero, so
+// the cache survives.
 func (c *Controller) DemandZeroEpoch() uint64 { return c.pending.zeroEpoch }
 
-// NoteBlockedChanged implements View.
+// NoteBlockedChanged must be called by the attached refresh policy
+// whenever any Blocked answer may have changed. Policies unblock on their
+// own schedule without issuing a command, so the controller keeps a
+// blocked epoch to know when a cached scheduling decision that honored the
+// old block state must be re-derived; owning the counter (instead of
+// polling the policy every cycle) keeps the per-cycle checks to one field
+// read. A policy may call spuriously (that only costs a re-scan) but must
+// never miss a change.
 func (c *Controller) NoteBlockedChanged() { c.blockedEpoch++ }
 
-// IssueCmd implements View: policies issue refresh/drain commands through it.
+// IssueCmd issues a command on behalf of the policy, consuming the cycle's
+// command slot. The command must satisfy Dev().CanIssue.
 func (c *Controller) IssueCmd(cmd dram.Cmd, now int64) {
 	c.dev.Issue(cmd, now)
 	c.noteIssue(cmd)
@@ -520,19 +531,14 @@ func (c *Controller) refreshBlocked() {
 	}
 	c.blockedAny = false
 	for r := 0; r < c.geom.Ranks; r++ {
-		rb := c.policy.RankBlocked(r)
 		for b := 0; b < c.geom.Banks; b++ {
-			v := rb || c.policy.BankBlocked(r, b)
+			v := c.policy.Blocked(r, b)
 			c.blockedMask[r*c.geom.Banks+b] = v
 			c.blockedAny = c.blockedAny || v
 		}
 	}
 	c.blockedSeen = ep
 	c.blockedInit = true
-}
-
-func (c *Controller) blocked(rank, bank int) bool {
-	return c.blockedAny && c.blockedMask[rank*c.geom.Banks+bank]
 }
 
 // chooseDemandCached reuses the previous cycle's failed demand search when

@@ -16,6 +16,7 @@ import (
 	"testing"
 
 	"dsarp/internal/dram"
+	"dsarp/internal/snap"
 	"dsarp/internal/timing"
 )
 
@@ -23,7 +24,7 @@ import (
 // rank/bank blocks and issues refreshes and drain precharges at random, so
 // the controller sees every kind of externally-caused state change.
 type fuzzPolicy struct {
-	v       View
+	c       *Controller
 	rng     *rand.Rand
 	ranks   int
 	banks   int
@@ -31,10 +32,10 @@ type fuzzPolicy struct {
 	bankBlk []bool
 }
 
-func newFuzzPolicy(v View, seed int64) *fuzzPolicy {
-	g := v.Dev().Geometry()
+func newFuzzPolicy(c *Controller, seed int64) *fuzzPolicy {
+	g := c.Dev().Geometry()
 	return &fuzzPolicy{
-		v:       v,
+		c:       c,
 		rng:     rand.New(rand.NewSource(seed)),
 		ranks:   g.Ranks,
 		banks:   g.Banks,
@@ -44,10 +45,11 @@ func newFuzzPolicy(v View, seed int64) *fuzzPolicy {
 }
 
 func (p *fuzzPolicy) Name() string                 { return "fuzz" }
-func (p *fuzzPolicy) RankBlocked(r int) bool       { return p.rankBlk[r] }
-func (p *fuzzPolicy) BankBlocked(r, b int) bool    { return p.bankBlk[r*p.banks+b] }
+func (p *fuzzPolicy) Blocked(r, b int) bool        { return p.rankBlk[r] || p.bankBlk[r*p.banks+b] }
 func (p *fuzzPolicy) NextDeadline(now int64) int64 { return now }
 func (p *fuzzPolicy) Skip(from, to int64)          {}
+func (p *fuzzPolicy) AppendState(*snap.Writer)     {}
+func (p *fuzzPolicy) LoadState(*snap.Reader) error { return nil }
 
 func (p *fuzzPolicy) Tick(now int64, demandReady bool) bool {
 	// Randomly toggle blocking state (~1% of cycles).
@@ -59,31 +61,31 @@ func (p *fuzzPolicy) Tick(now int64, demandReady bool) bool {
 			i := p.rng.Intn(len(p.bankBlk))
 			p.bankBlk[i] = !p.bankBlk[i]
 		}
-		p.v.NoteBlockedChanged()
+		p.c.NoteBlockedChanged()
 	}
 	// Randomly claim the slot for a refresh or a drain precharge (~2%).
 	if p.rng.Intn(50) != 0 {
 		return false
 	}
-	dev := p.v.Dev()
+	dev := p.c.Dev()
 	r := p.rng.Intn(p.ranks)
 	switch p.rng.Intn(3) {
 	case 0:
 		cmd := dram.Cmd{Kind: dram.CmdREFab, Rank: r}
 		if dev.CanIssue(cmd, now) {
-			p.v.IssueCmd(cmd, now)
+			p.c.IssueCmd(cmd, now)
 			return true
 		}
 	case 1:
 		cmd := dram.Cmd{Kind: dram.CmdREFpb, Rank: r, Bank: p.rng.Intn(p.banks)}
 		if dev.CanIssue(cmd, now) {
-			p.v.IssueCmd(cmd, now)
+			p.c.IssueCmd(cmd, now)
 			return true
 		}
 	default:
 		cmd := dram.Cmd{Kind: dram.CmdPRE, Rank: r, Bank: p.rng.Intn(p.banks)}
 		if dev.CanIssue(cmd, now) {
-			p.v.IssueCmd(cmd, now)
+			p.c.IssueCmd(cmd, now)
 			return true
 		}
 	}
@@ -114,9 +116,7 @@ func referenceChooseDemand(c *Controller, now int64) refChoice {
 	}
 	g := c.geom
 
-	blocked := func(r, b int) bool {
-		return c.policy.RankBlocked(r) || c.policy.BankBlocked(r, b)
-	}
+	blocked := c.policy.Blocked
 	reqsOf := func(r, b int) []*Request { return ix.bucketOf(r, b).reqs }
 	rowCount := func(r, b, row int) int {
 		n := 0
@@ -263,7 +263,7 @@ func TestFuzzCandidateRegistersMatchFlatRescan(t *testing.T) {
 			cfg.ReadQueueCap, cfg.WriteQueueCap = 16, 16
 			cfg.WriteHigh, cfg.WriteLow = 12, 6
 			cfg.OpenRow = openRow
-			c := NewController(dev, cfg, nil)
+			c := NewController(dev, cfg)
 			c.SetPolicy(newFuzzPolicy(c, seed*77))
 
 			rng := rand.New(rand.NewSource(seed))

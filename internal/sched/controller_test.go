@@ -20,7 +20,7 @@ func newCtrl(t *testing.T) (*Controller, *dram.Device) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return NewController(dev, DefaultConfig(), nil), dev
+	return NewController(dev, DefaultConfig()), dev
 }
 
 func read(core int, a dram.Addr, done func(int64)) *Request {
@@ -164,7 +164,7 @@ func TestOpenRowKeepsRowOpen(t *testing.T) {
 	dev := dram.MustNew(testGeom(), tp, dram.Options{Check: true})
 	cfg := DefaultConfig()
 	cfg.OpenRow = true
-	c := NewController(dev, cfg, nil)
+	c := NewController(dev, cfg)
 	c.EnqueueRead(read(0, dram.Addr{Row: 3, Col: 0}, nil), 0)
 	runCycles(c, 0, 100)
 	if dev.OpenRow(0, 0) != 3 {
@@ -239,5 +239,5 @@ func TestBadConfigPanics(t *testing.T) {
 			t.Error("NewController accepted low watermark >= high")
 		}
 	}()
-	NewController(dev, Config{ReadQueueCap: 8, WriteQueueCap: 8, WriteHigh: 4, WriteLow: 4}, nil)
+	NewController(dev, Config{ReadQueueCap: 8, WriteQueueCap: 8, WriteHigh: 4, WriteLow: 4})
 }

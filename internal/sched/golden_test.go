@@ -29,9 +29,8 @@ func goldenGeom() dram.Geometry {
 
 // driveFixedTrace runs one controller under kind for cycles DRAM cycles with
 // a deterministic open/conflict-heavy request mix and returns the final
-// controller and device statistics. mkPolicy overrides the policy built from
-// kind (used for Pausing, which has no Kind of its own).
-func driveFixedTrace(t *testing.T, kind core.Kind, mkPolicy func(sched.View) sched.RefreshPolicy, cycles int64) (sched.Stats, dram.Stats) {
+// controller and device statistics.
+func driveFixedTrace(t *testing.T, kind core.Kind, cycles int64) (sched.Stats, dram.Stats) {
 	t.Helper()
 	g := goldenGeom()
 	tp := timing.DDR3(timing.Config{Density: timing.Gb32, Mode: kind.RefMode()})
@@ -39,12 +38,8 @@ func driveFixedTrace(t *testing.T, kind core.Kind, mkPolicy func(sched.View) sch
 	if err != nil {
 		t.Fatal(err)
 	}
-	c := sched.NewController(dev, sched.DefaultConfig(), nil)
-	if mkPolicy != nil {
-		c.SetPolicy(mkPolicy(c))
-	} else {
-		c.SetPolicy(core.New(kind, c, 12345))
-	}
+	c := sched.NewController(dev, sched.DefaultConfig())
+	c.SetPolicy(core.New(kind, c, 12345))
 
 	rng := rand.New(rand.NewSource(99))
 	inject := cycles * 2 / 3 // then drain, so idle/empty-queue scans run too
@@ -114,7 +109,7 @@ func TestGoldenFixedTraceStats(t *testing.T) {
 	for kind, g := range want {
 		kind, g := kind, g
 		t.Run(kind.String(), func(t *testing.T) {
-			gotSched, gotDRAM := driveFixedTrace(t, kind, nil, 30_000)
+			gotSched, gotDRAM := driveFixedTrace(t, kind, 30_000)
 			if gotSched != g.sched {
 				t.Errorf("sched.Stats diverged from seed controller:\n got  %#v\n want %#v", gotSched, g.sched)
 			}
@@ -135,10 +130,9 @@ func TestGoldenFixedTraceStats(t *testing.T) {
 // pausing — the same way.
 func TestGoldenFixedTraceStatsExtended(t *testing.T) {
 	type golden struct {
-		kind     core.Kind
-		mkPolicy func(sched.View) sched.RefreshPolicy
-		sched    sched.Stats
-		dram     dram.Stats
+		kind  core.Kind
+		sched sched.Stats
+		dram  dram.Stats
 	}
 	want := map[string]golden{
 		"DARPOoO": {kind: core.KindDARPOoO,
@@ -156,16 +150,15 @@ func TestGoldenFixedTraceStatsExtended(t *testing.T) {
 		"AR": {kind: core.KindAR,
 			sched: sched.Stats{ReadsServed: 2135, WritesServed: 1057, ReadLatencySum: 164353, WriteLatencySum: 837016, DemandSlots: 7476, RefreshSlots: 29, ForwardedReads: 31, MergedWrites: 10, WriteModeEntries: 30, WriteModeCycles: 2580, OpportunisticDrain: 3241},
 			dram:  dram.Stats{Commands: 7508, Acts: 3686, Pres: 3686, Reads: 2104, Writes: 1057, RefABs: 29}},
-		"Pause": {kind: core.KindREFab,
-			mkPolicy: func(v sched.View) sched.RefreshPolicy { return core.NewPausing(v, 12345) },
-			sched:    sched.Stats{ReadsServed: 2135, WritesServed: 1057, ReadLatencySum: 123684, WriteLatencySum: 767546, DemandSlots: 7493, RefreshSlots: 45, ForwardedReads: 31, MergedWrites: 10, WriteModeEntries: 30, WriteModeCycles: 2562, OpportunisticDrain: 2399},
-			dram:     dram.Stats{Commands: 7538, Acts: 3694, Pres: 3694, Reads: 2104, Writes: 1057, RefABs: 45}},
+		"Pause": {kind: core.KindPause,
+			sched: sched.Stats{ReadsServed: 2135, WritesServed: 1057, ReadLatencySum: 123684, WriteLatencySum: 767546, DemandSlots: 7493, RefreshSlots: 45, ForwardedReads: 31, MergedWrites: 10, WriteModeEntries: 30, WriteModeCycles: 2562, OpportunisticDrain: 2399},
+			dram:  dram.Stats{Commands: 7538, Acts: 3694, Pres: 3694, Reads: 2104, Writes: 1057, RefABs: 45}},
 	}
 
 	for name, g := range want {
 		name, g := name, g
 		t.Run(name, func(t *testing.T) {
-			gotSched, gotDRAM := driveFixedTrace(t, g.kind, g.mkPolicy, 30_000)
+			gotSched, gotDRAM := driveFixedTrace(t, g.kind, 30_000)
 			if gotSched != g.sched {
 				t.Errorf("sched.Stats diverged from seed controller:\n got  %#v\n want %#v", gotSched, g.sched)
 			}
@@ -182,8 +175,8 @@ func TestGoldenFixedTraceStatsExtended(t *testing.T) {
 // TestGoldenTraceDeterminism guards the harness itself: two identical drives
 // must agree, otherwise the goldens above would be meaningless.
 func TestGoldenTraceDeterminism(t *testing.T) {
-	s1, d1 := driveFixedTrace(t, core.KindDSARP, nil, 10_000)
-	s2, d2 := driveFixedTrace(t, core.KindDSARP, nil, 10_000)
+	s1, d1 := driveFixedTrace(t, core.KindDSARP, 10_000)
+	s2, d2 := driveFixedTrace(t, core.KindDSARP, 10_000)
 	if s1 != s2 || d1 != d2 {
 		t.Fatalf("fixed trace is not deterministic:\n%v\n%v\n%v\n%v", s1, s2, d1, d2)
 	}

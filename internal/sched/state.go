@@ -143,7 +143,7 @@ func (c *Controller) LoadState(r *snap.Reader, resolve Resolver) error {
 	// Zero the occupancy slabs in place: policies cache the demand slab
 	// pointer at construction, so the backing arrays must survive.
 	for i := range c.pending.demand {
-		c.pending.reads[i], c.pending.writes[i], c.pending.demand[i] = 0, 0, 0
+		c.pending.demand[i] = 0
 	}
 	for i := range c.pending.rank {
 		c.pending.rank[i] = 0

@@ -86,9 +86,12 @@ type Config struct {
 	AdjustTiming func(*timing.Params)
 
 	// Policy, if non-nil, overrides the scheduling policy built from
-	// Mechanism (the Mechanism still selects SARP and the timing mode).
-	// Used by the DESIGN.md ablations to run DARP variants.
-	Policy func(v sched.View, seed int64) sched.RefreshPolicy
+	// Mechanism (the Mechanism still selects SARP and the timing mode). It
+	// is called once per channel with that channel's controller. Every
+	// sched.RefreshPolicy serializes, so such a run checkpoints and resumes
+	// like a stock one. Used by the DESIGN.md ablations to run DARP
+	// variants.
+	Policy func(ctl *sched.Controller, seed int64) sched.RefreshPolicy
 
 	// Engine selects the run loop; the zero value is the clock-skipping
 	// event engine. Both engines produce identical Results (modulo the
@@ -293,7 +296,7 @@ func NewSystem(cfg Config) (*System, error) {
 		if err != nil {
 			return nil, err
 		}
-		ctrl := sched.NewController(dev, schedCfg, nil)
+		ctrl := sched.NewController(dev, schedCfg)
 		seed := cfg.Seed*7919 + int64(ch)
 		if cfg.Policy != nil {
 			ctrl.SetPolicy(cfg.Policy(ctrl, seed))
@@ -747,11 +750,13 @@ type Checkpointer func(cycle int64, data []byte)
 // exists, so tail may run on any goroutine, after the Result is used;
 // tail is nil when the last cycle is off the grid (every does not divide
 // Measure). A checkpointed run's Result is bit-identical to the plain
-// run's, SteppedCycles included. Configurations whose state cannot
-// serialize (protocol checker attached, non-serializable custom policy)
-// silently run without checkpoints.
+// run's, SteppedCycles included. A checked config with a sink is refused:
+// the protocol checker's state does not serialize.
 func RunWithCheckpoints(cfg Config, every int64, sink Checkpointer) (res Result, tail func(), err error) {
 	cfg = cfg.WithDefaults()
+	if sink != nil && cfg.Check {
+		return Result{}, nil, errCheckedSnapshot
+	}
 	s, err := NewSystem(cfg)
 	if err != nil {
 		return Result{}, nil, err
@@ -761,7 +766,7 @@ func RunWithCheckpoints(cfg Config, every int64, sink Checkpointer) (res Result,
 		return Result{}, nil, ErrInterrupted
 	}
 	s.beginMeasure()
-	if sink != nil && s.CanSnapshot() {
+	if sink != nil {
 		// The warmup-boundary snapshot. Engine state is zeroed exactly as
 		// the measurement RunTo below zeroes it on entry, so a run resumed
 		// from this snapshot replays the same engine decisions.
@@ -790,9 +795,7 @@ func ResumeRun(cfg Config, data []byte, every int64, sink Checkpointer) (res Res
 		return Result{}, nil, fmt.Errorf("sim: snapshot at cycle %d outside measurement window [%d, %d]",
 			s.now, cfg.Warmup, end)
 	}
-	if sink != nil && s.CanSnapshot() {
-		s.armCheckpoints(every, sink)
-	}
+	s.armCheckpoints(every, sink)
 	return s.finish()
 }
 

@@ -10,22 +10,14 @@ import (
 	"dsarp/internal/stats"
 )
 
+// errCheckedSnapshot refuses checkpoints of, and restores into, a checked
+// run: the protocol checker's state does not round-trip, and a resumed
+// checked run would verify against a hole.
+var errCheckedSnapshot = errors.New("sim: a checked run cannot snapshot or restore: checker state is not serialized")
+
 // CanSnapshot reports whether this system's configuration supports
-// snapshotting: every attached refresh policy must serialize (all the
-// stock mechanisms do; ad-hoc Config.Policy closures may not) and the
-// protocol checker must be off — checker state does not round-trip, and a
-// resumed checked run would verify against a hole.
-func (s *System) CanSnapshot() bool {
-	if s.cfg.Check {
-		return false
-	}
-	for _, ctrl := range s.ctrls {
-		if _, ok := ctrl.Policy().(snap.Codec); !ok {
-			return false
-		}
-	}
-	return true
-}
+// snapshotting: every configuration does except a checked one.
+func (s *System) CanSnapshot() bool { return !s.cfg.Check }
 
 // Snapshot serializes the complete mutable machine state — cores (trace
 // generator rng included), cache slices (MSHR chains), DRAM devices,
@@ -33,7 +25,8 @@ func (s *System) CanSnapshot() bool {
 // saturation counters, and the measurement baseline — into a versioned,
 // hash-framed snap container. Restoring it with RestoreSystem under the
 // same Config (Measure aside) yields a machine that produces bit-identical
-// results to one that never stopped. Panics if CanSnapshot is false.
+// results to one that never stopped. The protocol checker's state is not
+// captured, which is why CanSnapshot is false for a checked system.
 //
 // The buffer is sized once from an estimate: the slices' tag stores, which
 // dominate and grow as the LLC fills, from their valid-line counts, plus
@@ -76,12 +69,8 @@ func (s *System) Snapshot() []byte {
 		ctrl.AppendState(w)
 	}
 	for ch, ctrl := range s.ctrls {
-		pol, ok := ctrl.Policy().(snap.Codec)
-		if !ok {
-			panic(fmt.Sprintf("sim: policy %T does not serialize; check CanSnapshot before Snapshot", ctrl.Policy()))
-		}
 		w.Section(fmt.Sprintf("policy%d", ch))
-		pol.AppendState(w)
+		ctrl.Policy().AppendState(w)
 	}
 	data := w.Finish()
 	// Room for the rest to grow by half before the next snapshot.
@@ -100,7 +89,7 @@ func (s *System) Snapshot() []byte {
 func RestoreSystem(cfg Config, data []byte) (*System, error) {
 	cfg = cfg.WithDefaults()
 	if cfg.Check {
-		return nil, errors.New("sim: cannot restore into a checked run: checker state is not serialized")
+		return nil, errCheckedSnapshot
 	}
 	s, err := NewSystem(cfg)
 	if err != nil {
@@ -180,14 +169,10 @@ func RestoreSystem(cfg Config, data []byte) (*System, error) {
 		}
 	}
 	for ch, ctrl := range s.ctrls {
-		pol, ok := ctrl.Policy().(snap.Codec)
-		if !ok {
-			return nil, fmt.Errorf("sim: policy %T does not serialize", ctrl.Policy())
-		}
 		if err := r.Section(fmt.Sprintf("policy%d", ch)); err != nil {
 			return nil, err
 		}
-		if err := pol.LoadState(r); err != nil {
+		if err := ctrl.Policy().LoadState(r); err != nil {
 			return nil, err
 		}
 	}

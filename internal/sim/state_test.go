@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"dsarp/internal/core"
+	"dsarp/internal/sched"
 	"dsarp/internal/snap"
 	"dsarp/internal/timing"
 	"dsarp/internal/workload"
@@ -68,24 +69,50 @@ func resumeAll(t *testing.T, name string, cfg Config, want Result, cycles []int6
 // TestResumeBitExactAllMechanisms snapshots every mechanism at the warmup
 // boundary and at periodic mid-measure checkpoints, resumes from each, and
 // requires byte-equal Results — the correctness bar for checkpoint reuse.
+// The DARP ablations (exp variants flex16, randpick and greedy) reach the
+// simulator only through Config.Policy, so they ride along as three more
+// cases.
 func TestResumeBitExactAllMechanisms(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-simulation resume matrix")
 	}
+	type mechanism struct {
+		name   string
+		kind   core.Kind
+		policy func(*sched.Controller, int64) sched.RefreshPolicy
+	}
+	var mechs []mechanism
 	for _, k := range core.Kinds() {
-		k := k
-		t.Run(k.String(), func(t *testing.T) {
+		mechs = append(mechs, mechanism{k.String(), k, nil})
+	}
+	for _, v := range []struct {
+		name string
+		opts core.DARPOptions
+	}{
+		{"flex16", core.DARPOptions{WriteRefresh: true, MaxPostpone: 16}},
+		{"randpick", core.DARPOptions{WriteRefresh: true, RandomWritePick: true}},
+		{"greedy", core.DARPOptions{WriteRefresh: true, GreedyIdlePick: true}},
+	} {
+		opts := v.opts
+		mechs = append(mechs, mechanism{v.name, core.KindDARP, func(ctl *sched.Controller, seed int64) sched.RefreshPolicy {
+			return core.NewDARP(ctl, opts, seed)
+		}})
+	}
+	for _, m := range mechs {
+		m := m
+		t.Run(m.name, func(t *testing.T) {
 			t.Parallel()
 			cfg := Config{
 				Workload:  smallWorkload(),
-				Mechanism: k,
+				Mechanism: m.kind,
+				Policy:    m.policy,
 				Density:   timing.Gb32,
 				Seed:      7,
 				Warmup:    8_000,
 				Measure:   30_000,
 			}
-			want, cycles, snaps := runCheckpointed(t, k.String(), cfg, 7_000)
-			resumeAll(t, k.String(), cfg, want, cycles, snaps)
+			want, cycles, snaps := runCheckpointed(t, m.name, cfg, 7_000)
+			resumeAll(t, m.name, cfg, want, cycles, snaps)
 		})
 	}
 }
@@ -484,8 +511,9 @@ func unwrap(err error) error {
 	return u.Unwrap()
 }
 
-// TestCanSnapshot pins the unsupported configurations: checked runs and
-// ad-hoc policies fall back to plain (checkpoint-free) runs.
+// TestCanSnapshot pins the one configuration that cannot snapshot, a
+// checked run: checkpointing it fails loudly before any snapshot is taken,
+// while the same run without a sink still completes.
 func TestCanSnapshot(t *testing.T) {
 	cfg := Config{
 		Workload:  smallWorkload(),
@@ -498,11 +526,21 @@ func TestCanSnapshot(t *testing.T) {
 	}
 	fired := false
 	_, tail, err := RunWithCheckpoints(cfg, 500, func(int64, []byte) { fired = true })
-	if err != nil {
-		t.Fatal(err)
+	if err == nil {
+		t.Error("checkpointing a checked run must fail")
 	}
 	if fired || tail != nil {
 		t.Error("checked run must not emit snapshots")
+	}
+	s, err := NewSystem(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s.CanSnapshot() {
+		t.Error("CanSnapshot true for a checked system")
+	}
+	if res, err := Run(cfg); err != nil || res.CheckErr != nil {
+		t.Errorf("checked run without a sink: err %v, check %v", err, res.CheckErr)
 	}
 }
 
