@@ -10,6 +10,7 @@ import (
 
 	"dsarp/internal/core"
 	"dsarp/internal/sim"
+	"dsarp/internal/store"
 	"dsarp/internal/timing"
 )
 
@@ -26,12 +27,22 @@ func ephemeralRunner(t *testing.T, opts Options) *Runner {
 	return r
 }
 
+// prepare is Runner.Prepare for a spec the test knows is valid.
+func prepare(t *testing.T, r *Runner, spec SimSpec) Prepared {
+	t.Helper()
+	p, err := r.Prepare(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return p
+}
+
 // encodeOf runs spec through RunSpecInfo or RunSpecEncoded and returns the
 // result's bytes.
 func encodeOf(t *testing.T, r *Runner, spec SimSpec, encoded bool) ([]byte, RunInfo) {
 	t.Helper()
 	if encoded {
-		data, info, err := r.RunSpecEncoded(spec)
+		data, info, err := r.RunSpecEncoded(prepare(t, r, spec))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -97,6 +108,25 @@ func TestEncodedReplacedEntryRecomputes(t *testing.T) {
 	}
 }
 
+// TestEncodedTakesThePreparedKey: RunSpecEncoded runs a prepared spec
+// under the key it carries and hashes nothing itself, so a spec prepared
+// once is keyed once however often it runs.
+func TestEncodedTakesThePreparedKey(t *testing.T) {
+	r := ephemeralRunner(t, tinyOpts())
+	p := prepare(t, r, r.specFor(r.Mixes()[0], core.KindREFab, timing.Gb8, ""))
+	elsewhere := Prepared{spec: p.spec, key: store.KeyOf([]byte("elsewhere"))}
+	_, info, err := r.RunSpecEncoded(elsewhere)
+	if err != nil {
+		t.Fatal(err)
+	}
+	info.Writes.Wait()
+	st := r.opts.Store
+	if info.Key != elsewhere.key || !st.Contains(elsewhere.key) || st.Contains(p.key) {
+		t.Errorf("ran under %s, stored under the carried key %v, under the spec's own %v; want the carried key %s only",
+			info.Key, st.Contains(elsewhere.key), st.Contains(p.key), elsewhere.key)
+	}
+}
+
 // TestEncodedUndecodableNeverTrusted: bytes DecodeResult rejected are
 // never served, however often they are read. The runner's 1ns budget
 // aborts each recompute, so the undecodable entry stays in the store and
@@ -106,18 +136,15 @@ func TestEncodedUndecodableNeverTrusted(t *testing.T) {
 		Cores: 2, Warmup: 2_000, Measure: 8_000, Seed: 42,
 		SimTimeout: time.Nanosecond,
 	})
-	spec, err := r.PrepareSpec(watchdogSpec())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := r.opts.Store.Put(spec.Key(), []byte(`{"unknown_field":1}`)); err != nil {
+	p := prepare(t, r, watchdogSpec())
+	if err := r.opts.Store.Put(p.Key(), []byte(`{"unknown_field":1}`)); err != nil {
 		t.Fatal(err)
 	}
 	for call := 1; call <= 2; call++ {
-		data, info, err := r.RunSpecEncoded(spec)
-		if !errors.Is(err, ErrSimTimeout) || info.Key != spec.Key() {
+		data, info, err := r.RunSpecEncoded(p)
+		if !errors.Is(err, ErrSimTimeout) || info.Key != p.Key() {
 			t.Fatalf("call %d: %q, source %v, key %s, err %v; want the entry recomputed and timed out under key %s",
-				call, data, info.Source, info.Key, err, spec.Key())
+				call, data, info.Source, info.Key, err, p.Key())
 		}
 	}
 }
@@ -167,11 +194,13 @@ func TestEncodedConcurrent(t *testing.T) {
 	opts.Store = slowStore(t, 2*time.Millisecond)
 	r := ephemeralRunner(t, opts)
 	var specs []SimSpec
+	var prepared []Prepared
 	var want [][]byte
 	for _, k := range []core.Kind{core.KindREFab, core.KindREFpb, core.KindDARP, core.KindDSARP} {
 		spec := r.specFor(r.Mixes()[0], k, timing.Gb8, "")
 		data, _ := encodeOf(t, serial, spec, false)
 		specs, want = append(specs, spec), append(want, data)
+		prepared = append(prepared, prepare(t, r, spec))
 	}
 
 	var wg sync.WaitGroup
@@ -185,7 +214,7 @@ func TestEncodedConcurrent(t *testing.T) {
 				var data []byte
 				var err error
 				if (g+i)%2 == 0 {
-					data, _, err = r.RunSpecEncoded(specs[n])
+					data, _, err = r.RunSpecEncoded(prepared[n])
 				} else {
 					var res sim.Result
 					if res, _, err = r.RunSpecInfo(specs[n]); err == nil {

@@ -473,20 +473,25 @@ func (w Writes) Wait() {
 // computed result is returned as soon as it exists: its store writes
 // are still in flight, and RunInfo.Writes completes when they land.
 func (r *Runner) RunSpecInfo(spec SimSpec) (sim.Result, RunInfo, error) {
-	c, info, err := r.run(spec, false)
+	p, err := r.Prepare(spec)
+	if err != nil {
+		return sim.Result{}, RunInfo{}, err
+	}
+	c, info, err := r.run(p, false)
 	return c.res, info, err
 }
 
-// RunSpecEncoded is RunSpecInfo for a caller that wants the result's
-// EncodeResult bytes, as the serving layer replies, stores and pushes
-// them. A computed result is encoded once: its store write, its memory
-// hits while that write is in flight, and its callers share the
-// encoding. On an EphemeralResults runner a store hit returns the stored
-// bytes, decoded only if they are not the bytes the runner last encoded
-// or decoded for the key (see Options.EphemeralResults). Callers must not
-// modify the returned bytes.
-func (r *Runner) RunSpecEncoded(spec SimSpec) ([]byte, RunInfo, error) {
-	c, info, err := r.run(spec, true)
+// RunSpecEncoded is RunSpecInfo for a caller that holds a prepared spec
+// and wants the result's EncodeResult bytes, as the serving layer
+// replies, stores and pushes them. The spec is neither validated nor
+// hashed again: p carries its key. A computed result is encoded once:
+// its store write, its memory hits while that write is in flight, and
+// its callers share the encoding. On an EphemeralResults runner a store
+// hit returns the stored bytes, decoded only if they are not the bytes
+// the runner last encoded or decoded for the key (see
+// Options.EphemeralResults). Callers must not modify the returned bytes.
+func (r *Runner) RunSpecEncoded(p Prepared) ([]byte, RunInfo, error) {
+	c, info, err := r.run(p, true)
 	if err != nil {
 		return nil, info, err
 	}
@@ -495,28 +500,23 @@ func (r *Runner) RunSpecEncoded(spec SimSpec) ([]byte, RunInfo, error) {
 }
 
 // run is the shared body of RunSpecInfo and RunSpecEncoded (enc): it
-// prepares the spec and runs it through runSpec, turning a panic into an
-// error.
-func (r *Runner) run(spec SimSpec, enc bool) (c cached, info RunInfo, err error) {
-	spec, err = r.PrepareSpec(spec)
+// runs a prepared spec through runSpec, turning a panic into an error.
+func (r *Runner) run(p Prepared, enc bool) (c cached, info RunInfo, err error) {
+	info.Key = p.key
+	mod, err := VariantMod(p.spec.Variant)
 	if err != nil {
 		return c, info, err
 	}
-	mod, err := VariantMod(spec.Variant)
-	if err != nil {
-		return c, info, err
-	}
-	info.Key = spec.Key()
 	defer func() {
 		if v := recover(); v != nil {
 			if e, ok := v.(error); ok && errors.Is(e, ErrSimTimeout) {
 				err = e
 				return
 			}
-			err = fmt.Errorf("exp: run %s: %v", spec.label(), v)
+			err = fmt.Errorf("exp: run %s: %v", p.spec.label(), v)
 		}
 	}()
-	c, info = r.runSpec(spec, info.Key, mod, enc)
+	c, info = r.runSpec(p.spec, p.key, mod, enc)
 	return c, info, nil
 }
 

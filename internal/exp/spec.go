@@ -127,6 +127,31 @@ func (r *Runner) PrepareSpec(s SimSpec) (SimSpec, error) {
 	return s, nil
 }
 
+// Prepared is a spec PrepareSpec accepted, together with its content
+// address: what RunSpecEncoded runs. Only Runner.Prepare builds one, so
+// its spec is canonical and its key is that spec's Key. Callers must not
+// modify the spec's benchmark profiles, which every copy shares.
+type Prepared struct {
+	spec SimSpec
+	key  store.Key
+}
+
+// Prepare is PrepareSpec followed by Key: it validates and hashes a spec
+// once, for every later run of it.
+func (r *Runner) Prepare(s SimSpec) (Prepared, error) {
+	s, err := r.PrepareSpec(s)
+	if err != nil {
+		return Prepared{}, err
+	}
+	return Prepared{spec: s, key: s.Key()}, nil
+}
+
+// Spec returns the canonical spec.
+func (p Prepared) Spec() SimSpec { return p.spec }
+
+// Key returns the spec's content address.
+func (p Prepared) Key() store.Key { return p.key }
+
 // Key is the spec's content address: SHA-256 over the schema version and
 // the canonical JSON encoding. Call it on a normalized spec (runner-built
 // specs always are; external ones go through PrepareSpec first).

@@ -9,6 +9,7 @@ import (
 
 	"dsarp/internal/exp"
 	"dsarp/internal/journal"
+	"dsarp/internal/store"
 )
 
 // Job durability: a store-backed server writes every job's header — its
@@ -53,7 +54,11 @@ func (r *jobRegistry) headerPath(id string) string {
 // createJob registers a job and, when durability is on, makes its header
 // durable before the job ID is ever returned to a client: any ID a client
 // observes is re-resolvable after a crash.
-func (s *Server) createJob(name string, specs []exp.SimSpec, experiment string, assemble func([]taskOutcome) (string, error)) *job {
+func (s *Server) createJob(name string, prepared []exp.Prepared, experiment string, assemble func([]taskOutcome) (string, error)) *job {
+	specs := make([]exp.SimSpec, len(prepared))
+	for i, p := range prepared {
+		specs[i] = p.Spec()
+	}
 	j := s.jobs.createExperiment(name, specs, experiment, assemble)
 	if s.jobs.dir == "" {
 		return j
@@ -155,14 +160,20 @@ func (s *Server) adoptJob(path string) []task {
 	st := s.runner.Options().Store
 	var pending []task
 	for i, sp := range head.Specs {
-		key := sp.Key()
-		payload, ok := st.Get(key)
+		p, err := s.runner.Prepare(sp)
+		if err != nil {
+			// A spec this runner no longer accepts fails, as it would in a
+			// worker.
+			j.complete(i, sp, store.Key{}, nil, exp.SourceComputed, err)
+			continue
+		}
+		payload, ok := st.Get(p.Key())
 		if !ok {
-			pending = append(pending, task{spec: sp, job: j, index: i})
+			pending = append(pending, task{p: p, job: j, index: i})
 			continue
 		}
 		j.record(sp, taskOutcome{
-			Index: i, Key: key.String(),
+			Index: i, Key: p.Key().String(),
 			Source: exp.SourceStore.String(), Cached: true, Result: payload,
 		})
 	}

@@ -73,11 +73,16 @@ func newService(t *testing.T, opts exp.Options, cfg Config, st *store.Store) *te
 	return &testService{Server: srv, runner: r, store: st, ts: ts}
 }
 
+// post sends body, as it is if it is a []byte and else as its JSON
+// encoding.
 func (s *testService) post(t *testing.T, path string, body any) (*http.Response, []byte) {
 	t.Helper()
-	data, err := json.Marshal(body)
-	if err != nil {
-		t.Fatal(err)
+	data, raw := body.([]byte)
+	if !raw {
+		var err error
+		if data, err = json.Marshal(body); err != nil {
+			t.Fatal(err)
+		}
 	}
 	resp, err := http.Post(s.ts.URL+path, "application/json", bytes.NewReader(data))
 	if err != nil {

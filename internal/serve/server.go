@@ -23,6 +23,12 @@
 //	GET  /v1/stats          runner + store + queue counters
 //	GET  /healthz           liveness
 //
+// A request body is one JSON value: anything but whitespace after it, or
+// a field the value's type does not have, is answered with 400. A
+// byte-identical repeat of a /v1/sim body that passed and was admitted is
+// served from a byte-bounded memo of its prepared spec, without decoding
+// or validating it again.
+//
 // Capacity is bounded: MaxQueue covers every queued-or-running task across
 // the service; a submission that does not fit is rejected with 429 and a
 // Retry-After header rather than buffered without limit. A response is
@@ -31,10 +37,12 @@
 package serve
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"log/slog"
 	"math"
 	"net/http"
@@ -88,7 +96,7 @@ type Config struct {
 // (sweep) or a reply channel (synchronous /v1/sim). trace is the run's
 // X-Dsarp-Trace header value, empty when the submitter sent none.
 type task struct {
-	spec  exp.SimSpec
+	p     exp.Prepared
 	job   *job
 	index int
 	reply chan taskReply
@@ -138,6 +146,9 @@ type Server struct {
 	workers sync.WaitGroup
 
 	jobs jobRegistry
+	// bodies memoizes the prepared spec of each /v1/sim body that passed
+	// its checks and was admitted (see prepareSim).
+	bodies bodyMemo
 }
 
 // New builds a Server and starts its workers. Call Drain to stop it.
@@ -262,7 +273,7 @@ func (s *Server) worker() {
 			t = tt
 		}
 		start := time.Now()
-		data, info, err := s.runner.RunSpecEncoded(t.spec)
+		data, info, err := s.runner.RunSpecEncoded(t.p)
 		src, key := info.Source, info.Key
 		dur := time.Since(start)
 		for _, rej := range info.Rejected {
@@ -287,11 +298,12 @@ func (s *Server) worker() {
 			}
 		}
 		if s.trace != nil && t.trace != "" {
+			spec := t.p.Spec()
 			sp := telemetry.Span{
 				Trace:       t.trace,
 				Kind:        telemetry.SpanServe,
 				Spec:        key.String(),
-				Label:       t.spec.Name + " " + t.spec.Mechanism,
+				Label:       spec.Name + " " + spec.Mechanism,
 				Worker:      s.selfID,
 				ResumedFrom: info.ResumedFrom,
 				Millis:      float64(dur) / float64(time.Millisecond),
@@ -315,7 +327,7 @@ func (s *Server) worker() {
 		info.Writes.Wait()
 		s.release(1)
 		if t.job != nil {
-			t.job.complete(t.index, t.spec, key, data, src, err)
+			t.job.complete(t.index, t.p.Spec(), key, data, src, err)
 		}
 		s.tasks.Done()
 	}
@@ -415,12 +427,12 @@ type simResponse struct {
 }
 
 func (s *Server) handleSim(w http.ResponseWriter, r *http.Request) {
-	var spec exp.SimSpec
-	if err := decodeJSON(w, r, &spec); err != nil {
+	body, err := readBody(w, r)
+	if err != nil {
 		httpError(w, decodeStatus(err), err)
 		return
 	}
-	spec, err := s.runner.PrepareSpec(spec)
+	b, err := s.prepareSim(body)
 	if err != nil {
 		httpError(w, http.StatusBadRequest, err)
 		return
@@ -429,8 +441,9 @@ func (s *Server) handleSim(w http.ResponseWriter, r *http.Request) {
 		s.refuse(w, err)
 		return
 	}
+	s.remember(b)
 	reply := make(chan taskReply, 1)
-	s.queue <- task{spec: spec, reply: reply, trace: r.Header.Get(telemetry.TraceHeader)}
+	s.queue <- task{p: b.p, reply: reply, trace: r.Header.Get(telemetry.TraceHeader)}
 	rep := <-reply
 	if rep.err != nil {
 		// A watchdog abort is retryable elsewhere or with a bigger budget:
@@ -462,23 +475,24 @@ type sweepResponse struct {
 }
 
 func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
-	var req sweepRequest
-	if err := decodeJSON(w, r, &req); err != nil {
+	body, err := readBody(w, r)
+	if err != nil {
 		httpError(w, decodeStatus(err), err)
+		return
+	}
+	var req sweepRequest
+	if err := decodeBody(body, &req); err != nil {
+		httpError(w, http.StatusBadRequest, err)
 		return
 	}
 	if len(req.Specs) == 0 {
 		httpError(w, http.StatusBadRequest, errors.New("serve: sweep has no specs"))
 		return
 	}
-	prepared := make([]exp.SimSpec, len(req.Specs))
-	for i, spec := range req.Specs {
-		p, err := s.runner.PrepareSpec(spec)
-		if err != nil {
-			httpError(w, http.StatusBadRequest, fmt.Errorf("spec %d: %w", i, err))
-			return
-		}
-		prepared[i] = p
+	prepared, err := s.prepareAll(req.Specs)
+	if err != nil {
+		httpError(w, http.StatusBadRequest, err)
+		return
 	}
 	// A sweep that could never fit is a permanent client error, not a
 	// transient 429 — retrying would loop forever.
@@ -494,8 +508,8 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	j := s.createJob(req.Name, prepared, "", nil)
-	for i, spec := range prepared {
-		s.queue <- task{spec: spec, job: j, index: i, trace: r.Header.Get(telemetry.TraceHeader)}
+	for i, p := range prepared {
+		s.queue <- task{p: p, job: j, index: i, trace: r.Header.Get(telemetry.TraceHeader)}
 	}
 	writeJSON(w, http.StatusAccepted, sweepResponse{
 		ID:         j.id,
@@ -551,23 +565,29 @@ func (s *Server) handleExperimentRun(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusNotFound, fmt.Errorf("serve: no experiment %q", name))
 		return
 	}
-	specs := e.Specs(s.runner) // runner-built specs are already canonical
+	specs := e.Specs(s.runner)
 	if len(specs) > s.maxQueue {
 		httpError(w, http.StatusRequestEntityTooLarge,
 			fmt.Errorf("serve: experiment %s needs %d specs, queue capacity is %d; raise -max-queue or split it over /v1/sweep", name, len(specs), s.maxQueue))
 		return
 	}
-	if err := s.reserve(len(specs)); err != nil {
+	prepared, err := s.prepareAll(specs)
+	if err != nil {
+		// Runner-built specs are canonical: only a bug gets here.
+		httpError(w, http.StatusInternalServerError, err)
+		return
+	}
+	if err := s.reserve(len(prepared)); err != nil {
 		s.refuse(w, err)
 		return
 	}
-	j := s.createJob(name, specs, name, s.assembler(e, specs))
-	for i, spec := range specs {
-		s.queue <- task{spec: spec, job: j, index: i, trace: r.Header.Get(telemetry.TraceHeader)}
+	j := s.createJob(name, prepared, name, s.assembler(e, specs))
+	for i, p := range prepared {
+		s.queue <- task{p: p, job: j, index: i, trace: r.Header.Get(telemetry.TraceHeader)}
 	}
 	writeJSON(w, http.StatusAccepted, sweepResponse{
 		ID:         j.id,
-		Total:      len(specs),
+		Total:      len(prepared),
 		StatusURL:  "/v1/jobs/" + j.id,
 		EventsURL:  "/v1/jobs/" + j.id + "/events",
 		ResultsURL: "/v1/jobs/" + j.id + "/results",
@@ -726,14 +746,43 @@ func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
 
 // --- plumbing ---
 
-func decodeJSON(w http.ResponseWriter, r *http.Request, v any) error {
+// prepareAll prepares every spec of a sweep or an experiment; an error
+// names the first spec that fails.
+func (s *Server) prepareAll(specs []exp.SimSpec) ([]exp.Prepared, error) {
+	prepared := make([]exp.Prepared, len(specs))
+	for i, spec := range specs {
+		p, err := s.runner.Prepare(spec)
+		if err != nil {
+			return nil, fmt.Errorf("spec %d: %w", i, err)
+		}
+		prepared[i] = p
+	}
+	return prepared, nil
+}
+
+// readBody reads a request body of at most maxResultBytes.
+func readBody(w http.ResponseWriter, r *http.Request) ([]byte, error) {
 	// MaxBytesReader needs the real ResponseWriter: on overflow net/http
 	// then sets Connection: close so the client stops streaming a body
 	// nobody will read.
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxResultBytes))
+	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxResultBytes))
+	if err != nil {
+		return nil, fmt.Errorf("serve: bad request body: %w", err)
+	}
+	return body, nil
+}
+
+// decodeBody decodes a request body into v. The body must hold exactly
+// one JSON value, with whitespace around it allowed, and no field v does
+// not have.
+func decodeBody(body []byte, v any) error {
+	dec := json.NewDecoder(bytes.NewReader(body))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(v); err != nil {
 		return fmt.Errorf("serve: bad request body: %w", err)
+	}
+	if rest := bytes.TrimLeft(body[dec.InputOffset():], " \t\r\n"); len(rest) > 0 {
+		return fmt.Errorf("serve: bad request body: %d bytes after the JSON value", len(rest))
 	}
 	return nil
 }

@@ -7,6 +7,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"sync"
 	"testing"
 
 	"dsarp/internal/core"
@@ -66,25 +67,18 @@ func resumeAll(t *testing.T, name string, cfg Config, want Result, cycles []int6
 	}
 }
 
-// TestResumeBitExactAllMechanisms snapshots every mechanism at the warmup
-// boundary and at periodic mid-measure checkpoints, resumes from each, and
-// requires byte-equal Results — the correctness bar for checkpoint reuse.
-// The DARP ablations (exp variants flex16, randpick and greedy) reach the
-// simulator only through Config.Policy, so they ride along as three more
-// cases.
-func TestResumeBitExactAllMechanisms(t *testing.T) {
-	if testing.Short() {
-		t.Skip("multi-simulation resume matrix")
-	}
-	type mechanism struct {
-		name   string
-		kind   core.Kind
-		policy func(*sched.Controller, int64) sched.RefreshPolicy
-	}
+// mechanism is a refresh mechanism a resume test runs: a Kind, or a DARP
+// variant's policy under KindDARP.
+type mechanism struct {
+	name   string
+	kind   core.Kind
+	policy func(*sched.Controller, int64) sched.RefreshPolicy
+}
+
+// darpAblations are the exp variants flex16, randpick and greedy, which
+// reach the simulator only through Config.Policy.
+func darpAblations() []mechanism {
 	var mechs []mechanism
-	for _, k := range core.Kinds() {
-		mechs = append(mechs, mechanism{k.String(), k, nil})
-	}
 	for _, v := range []struct {
 		name string
 		opts core.DARPOptions
@@ -98,6 +92,22 @@ func TestResumeBitExactAllMechanisms(t *testing.T) {
 			return core.NewDARP(ctl, opts, seed)
 		}})
 	}
+	return mechs
+}
+
+// TestResumeBitExactAllMechanisms snapshots every mechanism at the warmup
+// boundary and at periodic mid-measure checkpoints, resumes from each, and
+// requires byte-equal Results — the correctness bar for checkpoint reuse.
+// The DARP ablations ride along as three more cases.
+func TestResumeBitExactAllMechanisms(t *testing.T) {
+	if testing.Short() {
+		t.Skip("multi-simulation resume matrix")
+	}
+	var mechs []mechanism
+	for _, k := range core.Kinds() {
+		mechs = append(mechs, mechanism{k.String(), k, nil})
+	}
+	mechs = append(mechs, darpAblations()...)
 	for _, m := range mechs {
 		m := m
 		t.Run(m.name, func(t *testing.T) {
@@ -114,6 +124,61 @@ func TestResumeBitExactAllMechanisms(t *testing.T) {
 			want, cycles, snaps := runCheckpointed(t, m.name, cfg, 7_000)
 			resumeAll(t, m.name, cfg, want, cycles, snaps)
 		})
+	}
+}
+
+// TestResumeWriteMode resumes a write-intensive mix whose controller
+// spends cycles draining writes, so checkpoints land while DARP
+// parallelizes refreshes with writes (Algorithm 1) and randpick's rng draws
+// are snapshotted mid-stream. Two checks keep the case from quietly
+// becoming vacuous: every run spends cycles in write mode, and randpick's
+// Result differs from plain DARP's.
+func TestResumeWriteMode(t *testing.T) {
+	if testing.Short() {
+		t.Skip("write-mode resume runs")
+	}
+	wl := workload.Workload{Name: "writes"}
+	for _, name := range []string{"lbm.sweep", "stream.triad", "milc.lattice", "gems.fdtd"} {
+		p, err := workload.ByName(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wl.Benchmarks = append(wl.Benchmarks, p)
+	}
+	mechs := append([]mechanism{
+		{"DARP", core.KindDARP, nil},
+		{"DSARP", core.KindDSARP, nil},
+	}, darpAblations()...)
+	results := make(map[string]Result, len(mechs))
+	var mu sync.Mutex
+	t.Run("mechanisms", func(t *testing.T) {
+		for _, m := range mechs {
+			m := m
+			t.Run(m.name, func(t *testing.T) {
+				t.Parallel()
+				cfg := Config{
+					Workload:  wl,
+					Mechanism: m.kind,
+					Policy:    m.policy,
+					Density:   timing.Gb32,
+					Seed:      5,
+					Warmup:    8_000,
+					Measure:   30_000,
+				}
+				want, cycles, snaps := runCheckpointed(t, m.name, cfg, 3_000)
+				resumeAll(t, m.name, cfg, want, cycles, snaps)
+				if want.Sched.WriteModeCycles == 0 {
+					t.Errorf("%s: no cycle in write mode; the case no longer covers write-refresh", m.name)
+				}
+				mu.Lock()
+				results[m.name] = want
+				mu.Unlock()
+			})
+		}
+	})
+	darp, ok := results["DARP"]
+	if rp, ok2 := results["randpick"]; ok && ok2 && reflect.DeepEqual(darp, rp) {
+		t.Error("randpick's Result equals plain DARP's: its random write-mode picks never ran")
 	}
 }
 
