@@ -10,10 +10,12 @@ package dsarp
 
 import (
 	"fmt"
+	"path/filepath"
 	"testing"
 
 	"dsarp/internal/core"
 	"dsarp/internal/exp"
+	"dsarp/internal/golden"
 	"dsarp/internal/sim"
 	"dsarp/internal/timing"
 	"dsarp/internal/workload"
@@ -219,25 +221,66 @@ func BenchmarkFig16_FGR(b *testing.B) {
 	}
 }
 
-// BenchmarkIdleHeavy pins the clock-skipping engine's win on a
-// low-intensity, idle-heavy workload — the regime the event engine targets:
-// four compute-bound cores whose long instruction bursts, cache-hit waits,
-// and refresh lockouts are provably eventless and skipped wholesale. The
-// frac_simulated metric is the fraction of DRAM cycles actually simulated
-// (1.0 = pure cycle stepping).
-func BenchmarkIdleHeavy(b *testing.B) {
+// idleHeavyConfig is a low-intensity, idle-heavy run: four compute-bound
+// cores whose long instruction bursts, cache-hit waits, and refresh lockouts
+// are provably eventless and skipped wholesale.
+func idleHeavyConfig() sim.Config {
 	lib := workload.NonIntensive()
-	wl := workload.Workload{Name: "idleheavy", Benchmarks: lib[len(lib)-4:]}
+	return sim.Config{
+		Workload:  workload.Workload{Name: "idleheavy", Benchmarks: lib[len(lib)-4:]},
+		Mechanism: core.KindREFab,
+		Density:   timing.Gb32,
+		Seed:      42,
+		Warmup:    20_000,
+		Measure:   200_000,
+	}
+}
+
+// saturatedConfig is the opposite regime: an all-intensive DSARP workload in
+// which nearly every cycle carries an event.
+func saturatedConfig() sim.Config {
+	return sim.Config{
+		Workload:  workload.IntensiveMixes(1, 4, 42)[0],
+		Mechanism: core.KindDSARP,
+		Density:   timing.Gb32,
+		Seed:      42,
+		Warmup:    20_000,
+		Measure:   200_000,
+	}
+}
+
+// TestSteppedFraction pins how many measured cycles the event engine steps
+// in the two regimes the benchmarks below time, as exact counts in
+// testdata/stepped_fractions.txt. A change to it moves simulated results:
+// scripts/regen.sh rewrites the fixture, and the same change bumps
+// exp.SchemaVersion (scripts/check-schema-bump.sh).
+func TestSteppedFraction(t *testing.T) {
+	var got []byte
+	for _, c := range []struct {
+		name string
+		cfg  sim.Config
+	}{
+		{"BenchmarkSaturated", saturatedConfig()},
+		{"BenchmarkIdleHeavy", idleHeavyConfig()},
+	} {
+		res, err := sim.Run(c.cfg)
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		got = fmt.Appendf(got, "%s stepped=%d measured=%d\n", c.name, res.SteppedCycles, res.MeasuredCycles)
+	}
+	golden.Check(t, filepath.Join("testdata", "stepped_fractions.txt"), got)
+}
+
+// BenchmarkIdleHeavy times the clock-skipping engine's win on
+// idleHeavyConfig, the regime the event engine targets. The frac_simulated
+// metric is the fraction of DRAM cycles actually simulated (1.0 = pure
+// cycle stepping).
+func BenchmarkIdleHeavy(b *testing.B) {
+	cfg := idleHeavyConfig()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		res, err := sim.Run(sim.Config{
-			Workload:  wl,
-			Mechanism: core.KindREFab,
-			Density:   timing.Gb32,
-			Seed:      42,
-			Warmup:    20_000,
-			Measure:   200_000,
-		})
+		res, err := sim.Run(cfg)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -246,24 +289,16 @@ func BenchmarkIdleHeavy(b *testing.B) {
 	}
 }
 
-// BenchmarkSaturated pins the opposite regime from BenchmarkIdleHeavy: an
-// all-intensive DSARP workload in which nearly every cycle carries an event,
-// so the clock-skipping engine degenerates to plain stepping and performance
-// is set entirely by the cost of one stepped cycle (demand scans, DRAM
-// legality probes, per-access bookkeeping). frac_simulated close to 1.0
-// confirms the run really exercises the stepped path.
+// BenchmarkSaturated times saturatedConfig, in which the clock-skipping
+// engine degenerates to plain stepping and performance is set entirely by
+// the cost of one stepped cycle (demand scans, DRAM legality probes,
+// per-access bookkeeping). frac_simulated close to 1.0 confirms the run
+// really exercises the stepped path.
 func BenchmarkSaturated(b *testing.B) {
-	wl := workload.IntensiveMixes(1, 4, 42)[0]
+	cfg := saturatedConfig()
 	b.ReportAllocs() // the stepped cycle is supposed to be allocation-free
 	for i := 0; i < b.N; i++ {
-		res, err := sim.Run(sim.Config{
-			Workload:  wl,
-			Mechanism: core.KindDSARP,
-			Density:   timing.Gb32,
-			Seed:      42,
-			Warmup:    20_000,
-			Measure:   200_000,
-		})
+		res, err := sim.Run(cfg)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -45,6 +45,17 @@ func main() {
 	)
 	flag.Parse()
 
+	// sim.Config reads a zero as "use the default", so a zero or negative
+	// value would run something other than what was asked for.
+	for _, f := range []struct {
+		name string
+		v    int64
+	}{{"cores", int64(*cores)}, {"subarrays", int64(*subarrays)}, {"warmup", *warmup}, {"measure", *measure}} {
+		if f.v <= 0 {
+			fatalf("-%s %d: must be positive", f.name, f.v)
+		}
+	}
+
 	if *list {
 		fmt.Println("mechanisms:")
 		for _, k := range core.Kinds() {
@@ -151,7 +162,10 @@ func parseDensities(s string) ([]timing.Density, error) {
 	for _, part := range strings.Split(s, ",") {
 		n, err := strconv.Atoi(strings.TrimSpace(part))
 		if err != nil {
-			return nil, fmt.Errorf("bad density %q: %v", part, err)
+			return nil, fmt.Errorf("-density %q: %v", part, err)
+		}
+		if n <= 0 {
+			return nil, fmt.Errorf("-density %d: must be positive", n)
 		}
 		out = append(out, timing.Density(n))
 	}

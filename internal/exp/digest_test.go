@@ -1,15 +1,13 @@
 package exp
 
 import (
-	"bufio"
 	"crypto/sha256"
 	"fmt"
-	"os"
 	"path/filepath"
-	"strings"
 	"testing"
 
 	"dsarp/internal/core"
+	"dsarp/internal/golden"
 	"dsarp/internal/sim"
 	"dsarp/internal/timing"
 	"dsarp/internal/workload"
@@ -22,14 +20,13 @@ import (
 // for a few mechanisms; this pins every counter of all of them, so a
 // change to how counters are windowed or encoded shows here. A change to
 // the fixture needs an exp.SchemaVersion bump
-// (scripts/check-schema-bump.sh); regenerate it with
-// DSARP_UPDATE_DIGESTS=1.
+// (scripts/check-schema-bump.sh); scripts/regen.sh regenerates it.
 func TestResultDigests(t *testing.T) {
 	w := workload.Mixes(1, 4, 3)[1]
 	if w.Name != "mix01.cat25" {
 		t.Fatalf("digest workload is %s, want mix01.cat25", w.Name)
 	}
-	var got []string
+	var got []byte
 	for _, e := range []sim.Engine{sim.EngineEvent, sim.EngineCycle} {
 		for _, k := range core.Kinds() {
 			cfg := sim.Config{
@@ -49,32 +46,9 @@ func TestResultDigests(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			got = append(got, fmt.Sprintf("%s %s %x", k, e, sha256.Sum256(data)))
+			got = fmt.Appendf(got, "%s %s %x\n", k, e, sha256.Sum256(data))
 		}
 	}
 
-	path := filepath.Join("testdata", "result_digests.txt")
-	if os.Getenv("DSARP_UPDATE_DIGESTS") != "" {
-		if err := os.WriteFile(path, []byte(strings.Join(got, "\n")+"\n"), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		t.Logf("rewrote %s — bump SchemaVersion in the same change", path)
-	}
-	f, err := os.Open(path)
-	if err != nil {
-		t.Fatalf("missing digest fixture (regenerate with DSARP_UPDATE_DIGESTS=1): %v", err)
-	}
-	defer f.Close()
-	var want []string
-	for sc := bufio.NewScanner(f); sc.Scan(); {
-		want = append(want, sc.Text())
-	}
-	if len(got) != len(want) {
-		t.Fatalf("%d digests, fixture %s has %d", len(got), path, len(want))
-	}
-	for i := range got {
-		if got[i] != want[i] {
-			t.Errorf("result digest drifted:\n got:  %s\n want: %s", got[i], want[i])
-		}
-	}
+	golden.Check(t, filepath.Join("testdata", "result_digests.txt"), got)
 }

@@ -1,20 +1,24 @@
 package exp
 
 import (
-	"os"
 	"path/filepath"
 	"sync"
 	"testing"
 	"time"
 
 	"dsarp/internal/core"
+	"dsarp/internal/golden"
 	"dsarp/internal/timing"
 	"dsarp/internal/workload"
 )
 
-// goldenOpts is the fixed configuration behind the golden table strings
-// below: small enough to run in seconds, large enough to exercise several
-// densities and mechanisms.
+// goldenOpts is the fixed configuration behind testdata/golden_table2.txt
+// and golden_fig13.txt: small enough to run in seconds, large enough to
+// exercise several densities and mechanisms. A change that alters either
+// fixture is a behaviour change, not an optimization: scripts/regen.sh
+// rewrites them, and the same change must bump exp.SchemaVersion
+// (scripts/check-schema-bump.sh), or warm stores would keep serving the
+// pre-change results.
 func goldenOpts() Options {
 	return Options{
 		PerCategory: 1,
@@ -27,30 +31,17 @@ func goldenOpts() Options {
 	}
 }
 
-// goldenTable2/goldenFig13 live in testdata/: they were produced by the
-// seed (serial, pre-index) runner at goldenOpts. Any scheduler or runner
-// change that alters them is a behavior change, not an optimization — and
-// any diff that touches those fixture files MUST bump exp.SchemaVersion in
-// the same change (enforced by scripts/check-schema-bump.sh in CI), or
-// warm stores would keep serving the pre-change results.
-var (
-	goldenTable2 = readGolden("golden_table2.txt")
-	goldenFig13  = readGolden("golden_fig13.txt")
-)
-
-// readGolden loads a fixture; a missing file panics at test init, which is
-// louder (and earlier) than every golden comparison failing one by one.
-func readGolden(name string) string {
-	data, err := os.ReadFile(filepath.Join("testdata", name))
-	if err != nil {
-		panic(err)
-	}
-	return string(data)
+// checkGoldenTables runs Table 2 and Fig. 13 on r and checks each render
+// against its fixture.
+func checkGoldenTables(t *testing.T, r *Runner) {
+	t.Helper()
+	golden.Check(t, filepath.Join("testdata", "golden_table2.txt"), []byte(runAs[Table2Result](t, r, "table2").String()))
+	golden.Check(t, filepath.Join("testdata", "golden_fig13.txt"), []byte(runAs[Fig13Result](t, r, "fig13").String()))
 }
 
-// TestGoldenTablesMatchSeed pins Table2 and Fig13 output to the seed
-// runner's, byte for byte, at every parallelism level: fully serial, a
-// worker pool wider than the task list, and the auto (per-CPU) setting.
+// TestGoldenTablesMatchSeed pins the Table 2 and Fig. 13 renders byte for
+// byte at every parallelism level: fully serial, a worker pool wider than
+// the task list, and the auto (per-CPU) setting.
 func TestGoldenTablesMatchSeed(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-simulation golden run")
@@ -58,12 +49,9 @@ func TestGoldenTablesMatchSeed(t *testing.T) {
 	for _, par := range []int{1, 8, 0} {
 		opts := goldenOpts()
 		opts.Parallelism = par
-		r := NewRunner(opts)
-		if got := runAs[Table2Result](t, r, "table2").String(); got != goldenTable2 {
-			t.Errorf("Parallelism=%d: Table2 diverged from seed:\n got:\n%s\nwant:\n%s", par, got, goldenTable2)
-		}
-		if got := runAs[Fig13Result](t, r, "fig13").String(); got != goldenFig13 {
-			t.Errorf("Parallelism=%d: Fig13 diverged from seed:\n got:\n%s\nwant:\n%s", par, got, goldenFig13)
+		checkGoldenTables(t, NewRunner(opts))
+		if t.Failed() {
+			t.Fatalf("Parallelism=%d diverged from the fixtures", par)
 		}
 	}
 }

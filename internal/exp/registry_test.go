@@ -2,13 +2,13 @@ package exp
 
 import (
 	"fmt"
-	"os"
 	"path/filepath"
 	"reflect"
 	"strings"
 	"sync"
 	"testing"
 
+	"dsarp/internal/golden"
 	"dsarp/internal/timing"
 )
 
@@ -27,17 +27,10 @@ func registryOpts() Options {
 	}
 }
 
-// registryGolden reads an experiment's pinned render at registryOpts().
-// The fixtures under testdata/registry/ were rendered by the per-experiment
-// Runner methods that predate the registry, so they pin the registry to
-// the historical output byte for byte.
-func registryGolden(t *testing.T, name string) string {
-	t.Helper()
-	data, err := os.ReadFile(filepath.Join("testdata", "registry", name+".txt"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	return string(data)
+// registryFixture is the fixture that pins an experiment's render at
+// registryOpts().
+func registryFixture(name string) string {
+	return filepath.Join("testdata", "registry", name+".txt")
 }
 
 // TestRegistryMatchesGolden is the registry's output contract, for every
@@ -55,13 +48,6 @@ func TestRegistryMatchesGolden(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs the complete registry")
 	}
-	fixtures, err := filepath.Glob(filepath.Join("testdata", "registry", "*.txt"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(fixtures) != len(Experiments()) {
-		t.Errorf("%d registry fixtures for %d experiments", len(fixtures), len(Experiments()))
-	}
 	st := openStore(t)
 	opts := registryOpts()
 	opts.Store = st
@@ -72,12 +58,19 @@ func TestRegistryMatchesGolden(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", e.Name, err)
 		}
-		if got, want := out.String(), registryGolden(t, e.Name); got != want {
-			t.Errorf("%s: cold render diverged from golden:\n got:\n%s\nwant:\n%s", e.Name, got, want)
-		}
+		golden.Check(t, registryFixture(e.Name), []byte(out.String()))
 	}
 	if cold.SimsRun() == 0 {
 		t.Fatal("cold pass executed no simulations")
+	}
+	// Counted after the cold pass, so that update mode can add the fixture
+	// of a new experiment; a stale one stays for a person to delete.
+	fixtures, err := filepath.Glob(registryFixture("*"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(fixtures) != len(Experiments()) {
+		t.Errorf("%d registry fixtures for %d experiments", len(fixtures), len(Experiments()))
 	}
 
 	// Assembly-only pass: a fresh runner that never simulates and never
@@ -101,9 +94,7 @@ func TestRegistryMatchesGolden(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: assemble: %v", e.Name, err)
 		}
-		if got, want := out.String(), registryGolden(t, e.Name); got != want {
-			t.Errorf("%s: store-assembled render diverged from golden:\n got:\n%s\nwant:\n%s", e.Name, got, want)
-		}
+		golden.Check(t, registryFixture(e.Name), []byte(out.String()))
 		for _, spec := range specs {
 			k := spec.Key()
 			held := results[k]
@@ -127,9 +118,7 @@ func TestRegistryMatchesGolden(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", e.Name, err)
 		}
-		if out.String() != registryGolden(t, e.Name) {
-			t.Errorf("%s: warm-store rerun diverged from golden", e.Name)
-		}
+		golden.Check(t, registryFixture(e.Name), []byte(out.String()))
 	}
 	if n := warm.SimsRun(); n != 0 {
 		t.Errorf("warm pass executed %d simulations, want 0 (spec enumeration incomplete?)", n)
@@ -296,9 +285,7 @@ func TestFig5ZeroSpecs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if out.String() != registryGolden(t, "fig5") {
-		t.Error("fig5 render from an empty result map diverged from golden")
-	}
+	golden.Check(t, registryFixture("fig5"), []byte(out.String()))
 	if s, err := r.RunExperiment("fig5"); err != nil || s.String() != out.String() {
 		t.Errorf("RunExperiment(fig5): %v", err)
 	}

@@ -21,8 +21,9 @@ import (
 // config (scheduler behavior, timing parameters, workload generation, the
 // Result wire format) MUST bump this string, or warm stores would serve
 // stale results; pure optimizations pinned bit-exact by the golden tests
-// keep it. The golden tables in parallel_test.go are the check: if they
-// need regenerating, this needs bumping.
+// keep it. The fixtures are the check: scripts/regen.sh rewrites them after
+// an intended change, and scripts/check-schema-bump.sh fails a change to
+// them that does not bump this string.
 const SchemaVersion = "dsarp-sim-v1"
 
 // SimSpec is a fully-resolved, JSON-round-trippable description of one

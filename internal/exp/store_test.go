@@ -86,22 +86,16 @@ func TestWarmStoreRestart(t *testing.T) {
 	opts.Store = st
 
 	cold := NewRunner(opts)
-	table2 := runAs[Table2Result](t, cold, "table2").String()
-	fig13 := runAs[Fig13Result](t, cold, "fig13").String()
-	if table2 != goldenTable2 || fig13 != goldenFig13 {
-		t.Fatalf("store-backed cold run diverged from golden tables:\n%s\n%s", table2, fig13)
+	checkGoldenTables(t, cold)
+	if t.Failed() {
+		t.Fatal("store-backed cold run diverged from the golden tables")
 	}
 	if cold.SimsRun() == 0 {
 		t.Fatal("cold run executed no simulations")
 	}
 
 	warm := NewRunner(opts) // fresh in-memory cache, same store
-	if got := runAs[Table2Result](t, warm, "table2").String(); got != goldenTable2 {
-		t.Errorf("warm Table2 diverged:\n got:\n%s\nwant:\n%s", got, goldenTable2)
-	}
-	if got := runAs[Fig13Result](t, warm, "fig13").String(); got != goldenFig13 {
-		t.Errorf("warm Fig13 diverged:\n got:\n%s\nwant:\n%s", got, goldenFig13)
-	}
+	checkGoldenTables(t, warm)
 	if n := warm.SimsRun(); n != 0 {
 		t.Errorf("warm run executed %d simulations, want 0 (all from store)", n)
 	}

@@ -1,15 +1,13 @@
 package sim
 
 import (
-	"bufio"
 	"crypto/sha256"
 	"fmt"
-	"os"
 	"path/filepath"
-	"strings"
 	"testing"
 
 	"dsarp/internal/core"
+	"dsarp/internal/golden"
 	"dsarp/internal/timing"
 	"dsarp/internal/workload"
 )
@@ -36,49 +34,19 @@ func digestConfig(t *testing.T, k core.Kind, e Engine) Config {
 	}.WithDefaults()
 }
 
-// checkDigests compares got (one "name sha256" line per entry, in order)
-// with the fixture at path, rewriting the fixture first when
-// DSARP_UPDATE_DIGESTS is set.
-func checkDigests(t *testing.T, path string, got []string) {
-	t.Helper()
-	if os.Getenv("DSARP_UPDATE_DIGESTS") != "" {
-		if err := os.WriteFile(path, []byte(strings.Join(got, "\n")+"\n"), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		t.Logf("rewrote %s — bump snap.Version in the same change", path)
-	}
-	f, err := os.Open(path)
-	if err != nil {
-		t.Fatalf("missing digest fixture (regenerate with DSARP_UPDATE_DIGESTS=1): %v", err)
-	}
-	defer f.Close()
-	var want []string
-	for sc := bufio.NewScanner(f); sc.Scan(); {
-		want = append(want, sc.Text())
-	}
-	if len(got) != len(want) {
-		t.Fatalf("%d digests, fixture %s has %d", len(got), path, len(want))
-	}
-	for i := range got {
-		if got[i] != want[i] {
-			t.Errorf("digest drifted:\n got:  %s\n want: %s", got[i], want[i])
-		}
-	}
-}
-
 // TestSnapshotDigests pins the SHA-256 of every checkpoint — the warmup
 // boundary, each periodic one and the window end — for every mechanism on
 // both engines. golden.snap pins the layout for one mechanism before the
 // window opens; this pins the captured state of all of them, measurement
 // baseline included. A change here needs a snap.Version bump
-// (scripts/check-schema-bump.sh).
+// (scripts/check-schema-bump.sh); scripts/regen.sh regenerates it.
 func TestSnapshotDigests(t *testing.T) {
-	var got []string
+	var got []byte
 	for _, e := range []Engine{EngineEvent, EngineCycle} {
 		for _, k := range core.Kinds() {
 			cfg := digestConfig(t, k, e)
 			_, tail, err := RunWithCheckpoints(cfg, 5_000, func(cycle int64, data []byte) {
-				got = append(got, fmt.Sprintf("%s %s %d %x", k, e, cycle, sha256.Sum256(data)))
+				got = fmt.Appendf(got, "%s %s %d %x\n", k, e, cycle, sha256.Sum256(data))
 			})
 			if err != nil {
 				t.Fatalf("%s %s: %v", k, e, err)
@@ -89,7 +57,7 @@ func TestSnapshotDigests(t *testing.T) {
 			tail()
 		}
 	}
-	checkDigests(t, filepath.Join("testdata", "snapshot_digests.txt"), got)
+	golden.Check(t, filepath.Join("testdata", "snapshot_digests.txt"), got)
 }
 
 // TestOpportunisticDrainWindowedAsZero pins a known reporting defect so

@@ -4,13 +4,13 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
-	"os"
 	"path/filepath"
 	"reflect"
 	"sync"
 	"testing"
 
 	"dsarp/internal/core"
+	"dsarp/internal/golden"
 	"dsarp/internal/sched"
 	"dsarp/internal/snap"
 	"dsarp/internal/timing"
@@ -670,12 +670,9 @@ func BenchmarkSnapshotRoundTrip(b *testing.B) {
 // against testdata/golden.snap: the same discipline the golden tables
 // apply to simulator behavior, applied to the snapshot layout. If this
 // fails, the serialized layout (or the simulated state it captures)
-// changed — regenerate the fixture with
-//
-//	DSARP_UPDATE_SNAP_GOLDEN=1 go test ./internal/sim -run TestGoldenSnapshotBytes
-//
-// AND bump snap.Version in the same change, or every warm store's
-// snapshots would restore into a machine they no longer describe.
+// changed: regenerate the fixture with scripts/regen.sh AND bump
+// snap.Version in the same change, or every warm store's snapshots would
+// restore into a machine they no longer describe.
 // scripts/check-schema-bump.sh fails CI when the fixture changes without
 // the version bump.
 func TestGoldenSnapshotBytes(t *testing.T) {
@@ -695,28 +692,11 @@ func TestGoldenSnapshotBytes(t *testing.T) {
 	s.RunTo(cfg.Warmup)
 	got := s.Snapshot()
 
-	path := filepath.Join("testdata", "golden.snap")
-	if os.Getenv("DSARP_UPDATE_SNAP_GOLDEN") != "" {
-		if err := os.MkdirAll("testdata", 0o755); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(path, got, 0o644); err != nil {
-			t.Fatal(err)
-		}
-		t.Logf("rewrote %s (%d bytes) — bump snap.Version in the same change", path, len(got))
-	}
-	want, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatalf("missing golden snapshot fixture (regenerate with DSARP_UPDATE_SNAP_GOLDEN=1): %v", err)
-	}
-	if !bytes.Equal(got, want) {
-		t.Fatalf("snapshot bytes drifted from testdata/golden.snap (got %d bytes, want %d): "+
-			"the layout or captured state changed — regenerate the fixture AND bump snap.Version",
-			len(got), len(want))
-	}
+	golden.Check(t, filepath.Join("testdata", "golden.snap"), got)
 	// The pinned fixture must keep restoring: layout stability is only
-	// useful if old snapshots actually load.
-	if _, err := RestoreSystem(cfg, want); err != nil {
+	// useful if old snapshots actually load. Once Check passes, got is
+	// the fixture's bytes.
+	if _, err := RestoreSystem(cfg, got); err != nil {
 		t.Fatalf("golden snapshot no longer restores: %v", err)
 	}
 }

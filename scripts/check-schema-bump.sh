@@ -4,15 +4,18 @@
 # Two content-addressed artifact generations live in the store, each with
 # its own version string and its own golden fixture set:
 #
-#   1. Results. The golden table/figure fixtures under
-#      internal/exp/testdata/ pin the simulator's observable behavior,
-#      and exp.SchemaVersion salts every result key. If a change alters a
-#      golden fixture, the same change MUST bump SchemaVersion —
-#      otherwise every warm store keeps serving results computed under
-#      the old behavior, silently, forever.
+#   1. Results. The fixtures under internal/exp/testdata/ (tables,
+#      figures, result digests), internal/sched/testdata/ (the
+#      controller's fixed-trace statistics) and
+#      testdata/stepped_fractions.txt (the engine's stepped cycles) pin
+#      the simulator's observable behavior, and exp.SchemaVersion salts
+#      every result key. If a change alters one of them, the same change
+#      MUST bump SchemaVersion — otherwise every warm store keeps serving
+#      results computed under the old behavior, silently, forever.
 #
-#   2. Snapshots. internal/sim/testdata/golden.snap pins the serialized
-#      machine-state layout byte-for-byte (TestGoldenSnapshotBytes), and
+#   2. Snapshots. internal/sim/testdata/ pins the serialized machine
+#      state: golden.snap byte-for-byte (TestGoldenSnapshotBytes) and
+#      every mechanism's checkpoints by digest (TestSnapshotDigests), and
 #      snap.Version salts every checkpoint prefix key and is refused at
 #      restore time on mismatch. If the fixture's bytes change, the same
 #      change MUST bump snap.Version — otherwise stored snapshots would
@@ -22,7 +25,8 @@
 # This script fails when the diff against the given base modifies an
 # existing golden fixture without also changing the corresponding version
 # line. Newly added fixtures are exempt: they pin behavior that never had
-# stored artifacts to go stale.
+# stored artifacts to go stale. scripts/regen.sh rewrites the fixtures; it
+# bumps no version, so a bump stays a reviewed hand edit.
 #
 # Usage: scripts/check-schema-bump.sh <base-ref>   (e.g. origin/main)
 set -euo pipefail
@@ -37,15 +41,16 @@ version_at() {
         | sed -n "s/^const $3 = \"\(.*\)\"\$/\1/p"
 }
 
-# check_generation <label> <fixture-path> <version-file> <const-name>
+# check_generation <label> <version-file> <const-name> <fixture-path>...
 # Returns 0 when this generation needs no bump or got one; prints the
 # failure story and returns 1 otherwise.
 check_generation() {
-    local label="$1" fixtures="$2" vfile="$3" vconst="$4"
+    local label="$1" vfile="$2" vconst="$3"
+    shift 3
     # --no-renames: a renamed-and-tweaked fixture must show as D+A, not
     # slip through as R (which --diff-filter=MD would exclude).
     local modified
-    modified=$(git diff --no-renames --name-only --diff-filter=MD "$BASE"...HEAD -- "$fixtures" || true)
+    modified=$(git diff --no-renames --name-only --diff-filter=MD "$BASE"...HEAD -- "$@" || true)
     if [ -z "$modified" ]; then
         echo "schema tripwire [$label]: no golden fixture modified; no bump required"
         return 0
@@ -76,6 +81,7 @@ check_generation() {
 }
 
 rc=0
-check_generation "results" "internal/exp/testdata" "internal/exp/spec.go" "SchemaVersion" || rc=1
-check_generation "snapshots" "internal/sim/testdata" "internal/snap/snap.go" "Version" || rc=1
+check_generation "results" "internal/exp/spec.go" "SchemaVersion" \
+    internal/exp/testdata internal/sched/testdata testdata/stepped_fractions.txt || rc=1
+check_generation "snapshots" "internal/snap/snap.go" "Version" internal/sim/testdata || rc=1
 exit $rc
