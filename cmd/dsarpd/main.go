@@ -8,21 +8,25 @@
 //
 // Usage:
 //
-//	dsarpd [-addr :8080] [-store .dsarp-store] [-store-max-mb N]
-//	       [-parallel N] [-max-queue N] [-engine event|cycle]
-//	       [-warmup N] [-measure N] [-seed N] [-sim-timeout D]
+//	dsarpd [-addr :8080] [-parallel N] [-max-queue N] [-sim-timeout D]
 //	       [-checkpoint-every N]
 //	       [-scale default|paper] [-percat N] [-sensitivity N]
+//	       [-warmup N] [-measure N] [-seed N] [-engine event|cycle]
+//	       [-store .dsarp-store] [-store-max-mb N]
 //	       [-self URL -peers URL,URL,... [-replicas R]]
 //	       [-chaos fail=P,drop=P,stall=P:D,kill=N,diskfail=P,seed=N]
 //	       [-debug-addr :6060] [-trace spans.jsonl]
 //	       [-log-format text|json] [-log-level info]
 //
-// -warmup/-measure/-engine only fill fields a submitted spec leaves unset;
-// fully-specified specs are served as sent. -scale/-percat/-sensitivity
-// set the workload scale behind experiment enumeration: a fleet of dsarpd
-// started with the same scale flags enumerates identical specs, so
-// workers sharing a -store directory compose into one reproduction.
+// The scale, seed, engine and store flags are the ones cmd/experiments
+// and cmd/fleet take, registered and resolved by exp.Flags; only -store's
+// default differs. They set the workload scale behind experiment
+// enumeration: a fleet of dsarpd started with the same flags enumerates
+// identical specs, so workers sharing a -store directory compose into one
+// reproduction. -warmup/-measure/-engine also fill the fields a submitted
+// spec leaves unset; fully-specified specs are served as sent. A negative
+// value of any numeric flag exits with status 2 naming it, before the
+// store opens or the daemon listens.
 //
 // The store records the exp.SchemaVersion generation: reopening a store
 // written under an older schema sweeps its (unreachable) entries at
@@ -101,7 +105,6 @@ import (
 
 	"dsarp/internal/exp"
 	"dsarp/internal/serve"
-	"dsarp/internal/sim"
 	"dsarp/internal/store"
 	"dsarp/internal/telemetry"
 )
@@ -113,17 +116,8 @@ func main() {
 func mainImpl() int {
 	var (
 		addr       = flag.String("addr", ":8080", "listen address")
-		storeDir   = flag.String("store", ".dsarp-store", "result store directory ('' disables persistence)")
-		storeMaxMB = flag.Int64("store-max-mb", 0, "store size cap in MiB (0 = unlimited)")
 		parallel   = flag.Int("parallel", 0, "concurrent simulations (0 = one per CPU)")
 		maxQueue   = flag.Int("max-queue", 256, "max queued+running tasks before 429")
-		engine     = flag.String("engine", "event", "default simulation engine for specs that omit one")
-		warmup     = flag.Int64("warmup", 0, "default warmup (DRAM cycles) for specs that omit one")
-		measure    = flag.Int64("measure", 0, "default measurement window for specs that omit one")
-		seed       = flag.Int64("seed", 42, "workload seed for the runner's built-in mixes")
-		scale      = flag.String("scale", "default", "experiment-enumeration scale: default | paper")
-		percat     = flag.Int("percat", 0, "override workloads per intensity category (experiment enumeration)")
-		sens       = flag.Int("sensitivity", 0, "override sensitivity workload count (experiment enumeration)")
 		self       = flag.String("self", "", "this worker's base URL as peers address it (required with -peers)")
 		peers      = flag.String("peers", "", "comma-separated peer base URLs; joins the replicated warm-store tier")
 		replicas   = flag.Int("replicas", 2, "warm-store replication factor R (with -peers)")
@@ -136,6 +130,7 @@ func mainImpl() int {
 		logFormat  = flag.String("log-format", "text", "log line format: text | json")
 		logLevel   = flag.String("log-level", "info", "minimum log level: debug | info | warn | error")
 	)
+	shared := exp.RegisterFlags(flag.CommandLine, ".dsarp-store")
 	flag.Parse()
 
 	logger, err := telemetry.NewLogger(os.Stderr, *logFormat, *logLevel)
@@ -144,30 +139,22 @@ func mainImpl() int {
 		return 2
 	}
 
-	opts, err := exp.ParseScale(*scale)
+	// Zero keeps each flag's documented meaning; a negative value has none.
+	for _, f := range []struct {
+		name string
+		v    int64
+	}{{"parallel", int64(*parallel)}, {"max-queue", int64(*maxQueue)}, {"replicas", int64(*replicas)},
+		{"drain-timeout", int64(*drainSecs)}, {"sim-timeout", int64(*simTimeout)}, {"checkpoint-every", *ckptEvery}} {
+		if f.v < 0 {
+			fmt.Fprintf(os.Stderr, "-%s %v: must not be negative\n", f.name, flag.Lookup(f.name).Value)
+			return 2
+		}
+	}
+	opts, err := shared.Options()
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "%v\n", err)
 		return 2
 	}
-	opts.Seed = *seed
-	if *percat > 0 {
-		opts.PerCategory = *percat
-	}
-	if *sens > 0 {
-		opts.Sensitivity = *sens
-	}
-	if *warmup > 0 {
-		opts.Warmup = *warmup
-	}
-	if *measure > 0 {
-		opts.Measure = *measure
-	}
-	eng, err := sim.ParseEngine(*engine)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "%v\n", err)
-		return 2
-	}
-	opts.Engine = eng
 	opts.SimTimeout = *simTimeout
 
 	// Chaos is parsed before the store opens: diskfail injects failures
@@ -188,16 +175,12 @@ func mainImpl() int {
 		logger.Info("chaos enabled", "spec", *chaosSpec)
 	}
 
-	if *storeDir != "" {
-		st, err := store.Open(*storeDir, store.Options{
-			MaxBytes:   *storeMaxMB << 20,
-			Generation: exp.SchemaVersion,
-			FailWrites: chaos.FailWrites(),
-		})
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "%v\n", err)
-			return 1
-		}
+	st, err := shared.OpenStore(store.Options{FailWrites: chaos.FailWrites()})
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "%v\n", err)
+		return 1
+	}
+	if st != nil {
 		opts.Store = st
 		// The disk is the cache: don't also retain every result in RAM
 		// for the life of the daemon.

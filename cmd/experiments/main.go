@@ -12,7 +12,10 @@
 //
 // -run selects experiments by registry name; the default runs everything
 // in registry order. An unknown name exits with status 2 before any
-// simulation starts.
+// simulation starts. The scale, seed, engine and store flags are the ones
+// dsarpd and fleet take (exp.Flags), so the same flags render the same
+// table there; a negative value of any numeric flag exits with status 2
+// naming it.
 //
 // With -store, every completed simulation is persisted to a
 // content-addressed result store as it finishes, and consulted before
@@ -36,7 +39,6 @@ import (
 	"time"
 
 	"dsarp/internal/exp"
-	"dsarp/internal/sim"
 	"dsarp/internal/store"
 )
 
@@ -50,21 +52,13 @@ func mainImpl() int {
 	var (
 		run      = flag.String("run", "all", "experiments to run (comma-separated registry names), or 'all'")
 		list     = flag.Bool("list", false, "list registry experiments with spec counts (and store warm status with -store), then exit")
-		scale    = flag.String("scale", "default", "experiment scale: default | paper")
-		percat   = flag.Int("percat", 0, "override workloads per intensity category")
-		sens     = flag.Int("sensitivity", 0, "override sensitivity workload count")
-		measure  = flag.Int64("measure", 0, "override measurement window (DRAM cycles)")
-		warmup   = flag.Int64("warmup", 0, "override warmup (DRAM cycles)")
-		seed     = flag.Int64("seed", 0, "override workload seed")
 		parallel = flag.Int("parallel", 0, "concurrent simulations (0 = one per CPU, 1 = serial)")
-		storeDir = flag.String("store", "", "persist per-simulation results in this content-addressed store directory")
-		storeMax = flag.Int64("store-max-mb", 0, "store size cap in MiB (0 = unlimited)")
-		engine   = flag.String("engine", "event", "simulation engine: event (clock-skipping) or cycle (reference stepper); tables are bit-identical")
 		cpuProf  = flag.String("cpuprofile", "", "write a CPU profile to this file")
 		memProf  = flag.String("memprofile", "", "write a heap profile to this file on exit")
 		verbose  = flag.Bool("v", false, "print per-simulation progress")
 		csvDir   = flag.String("csv", "", "also write each experiment's data series to this directory as CSV")
 	)
+	shared := exp.RegisterFlags(flag.CommandLine, "")
 	flag.Parse()
 
 	selected, err := selectExperiments(*run)
@@ -72,48 +66,25 @@ func mainImpl() int {
 		fmt.Fprintf(os.Stderr, "%v; -list shows the registry\n", err)
 		return 2
 	}
-
-	opts, err := exp.ParseScale(*scale)
+	if *parallel < 0 {
+		fmt.Fprintf(os.Stderr, "-parallel %d: must not be negative\n", *parallel)
+		return 2
+	}
+	opts, err := shared.Options()
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "%v\n", err)
 		return 2
-	}
-	if *percat > 0 {
-		opts.PerCategory = *percat
-	}
-	if *sens > 0 {
-		opts.Sensitivity = *sens
-	}
-	if *measure > 0 {
-		opts.Measure = *measure
-	}
-	if *warmup > 0 {
-		opts.Warmup = *warmup
-	}
-	if *seed != 0 {
-		opts.Seed = *seed
 	}
 	opts.Parallelism = *parallel
-	eng, err := sim.ParseEngine(*engine)
-	if err != nil {
+	if opts.Store, err = shared.OpenStore(store.Options{}); err != nil {
 		fmt.Fprintf(os.Stderr, "%v\n", err)
-		return 2
+		return 1
 	}
-	opts.Engine = eng
-	if *storeDir != "" {
-		st, err := store.Open(*storeDir, store.Options{
-			MaxBytes:   *storeMax << 20,
-			Generation: exp.SchemaVersion,
-		})
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "%v\n", err)
-			return 1
-		}
-		if s := st.Stats(); s.Expired > 0 {
+	if opts.Store != nil {
+		if s := opts.Store.Stats(); s.Expired > 0 {
 			fmt.Fprintf(os.Stderr, "store: swept %d old-schema entries (%d bytes reclaimed)\n",
 				s.Expired, s.ExpiredBytes)
 		}
-		opts.Store = st
 	}
 	if *verbose {
 		opts.Progress = func(done int, label string) {

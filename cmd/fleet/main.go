@@ -23,9 +23,12 @@
 // and future reruns will look. At the end of a run, workers that report
 // a replication section in /v1/stats are summarized on stderr.
 //
-// The scale flags mirror dsarpd's: the orchestrator enumerates the
+// The scale, seed, engine and store flags are the ones dsarpd and
+// cmd/experiments take (exp.Flags): the orchestrator enumerates the
 // experiment's specs locally at this scale, so it needs no agreement
-// with the workers' own flags — specs travel fully resolved.
+// with the workers' own flags — specs travel fully resolved. A negative
+// value of any numeric flag exits with status 2 naming it, before
+// anything is dispatched.
 //
 // -store keeps fetched results in a local content-addressed store: if
 // the command dies (or is interrupted), rerunning it with the same -store
@@ -64,7 +67,6 @@ import (
 
 	"dsarp/internal/exp"
 	"dsarp/internal/fleet"
-	"dsarp/internal/sim"
 	"dsarp/internal/store"
 	"dsarp/internal/telemetry"
 )
@@ -77,15 +79,6 @@ func mainImpl() int {
 	var (
 		addrs       = flag.String("addrs", "", "comma-separated dsarpd base URLs (required)")
 		experiment  = flag.String("experiment", "", "registry experiment to reproduce (required; see cmd/experiments -list)")
-		storeDir    = flag.String("store", "", "local result store directory; rerun with the same one to resume ('' disables)")
-		storeMaxMB  = flag.Int64("store-max-mb", 0, "local store size cap in MiB (0 = unlimited)")
-		engine      = flag.String("engine", "event", "simulation engine baked into enumerated specs")
-		warmup      = flag.Int64("warmup", 0, "override warmup (DRAM cycles)")
-		measure     = flag.Int64("measure", 0, "override measurement window")
-		seed        = flag.Int64("seed", 42, "workload seed")
-		scale       = flag.String("scale", "default", "experiment-enumeration scale: default | paper")
-		percat      = flag.Int("percat", 0, "override workloads per intensity category")
-		sens        = flag.Int("sensitivity", 0, "override sensitivity workload count")
 		timeout     = flag.Duration("timeout", 10*time.Minute, "per-dispatch timeout, simulation included")
 		concurrency = flag.Int("concurrency", 0, "specs in flight across the fleet (0 = 4 per worker)")
 		maxAttempts = flag.Int("max-attempts", 0, "transient retries per spec before giving up (0 = unlimited)")
@@ -96,6 +89,7 @@ func mainImpl() int {
 		logFormat   = flag.String("log-format", "text", "log line format: text | json")
 		logLevel    = flag.String("log-level", "info", "minimum log level: debug | info | warn | error")
 	)
+	shared := exp.RegisterFlags(flag.CommandLine, "")
 	flag.Parse()
 	log.SetFlags(0)
 
@@ -128,30 +122,22 @@ func mainImpl() int {
 		return 2
 	}
 
-	opts, err := exp.ParseScale(*scale)
+	// Zero keeps each flag's documented meaning; a negative value has none.
+	for _, f := range []struct {
+		name string
+		v    int64
+	}{{"timeout", int64(*timeout)}, {"concurrency", int64(*concurrency)}, {"max-attempts", int64(*maxAttempts)},
+		{"replicas", int64(*replicas)}, {"progress", int64(*progress)}} {
+		if f.v < 0 {
+			fmt.Fprintf(os.Stderr, "-%s %v: must not be negative\n", f.name, flag.Lookup(f.name).Value)
+			return 2
+		}
+	}
+	opts, err := shared.Options()
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "%v\n", err)
 		return 2
 	}
-	opts.Seed = *seed
-	if *percat > 0 {
-		opts.PerCategory = *percat
-	}
-	if *sens > 0 {
-		opts.Sensitivity = *sens
-	}
-	if *warmup > 0 {
-		opts.Warmup = *warmup
-	}
-	if *measure > 0 {
-		opts.Measure = *measure
-	}
-	eng, err := sim.ParseEngine(*engine)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "%v\n", err)
-		return 2
-	}
-	opts.Engine = eng
 
 	cfg := fleet.Config{
 		Workers:        strings.Split(*addrs, ","),
@@ -171,16 +157,9 @@ func mainImpl() int {
 		}
 		cfg.Trace = trace
 	}
-	if *storeDir != "" {
-		st, err := store.Open(*storeDir, store.Options{
-			MaxBytes:   *storeMaxMB << 20,
-			Generation: exp.SchemaVersion,
-		})
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "%v\n", err)
-			return 1
-		}
-		cfg.Store = st
+	if cfg.Store, err = shared.OpenStore(store.Options{}); err != nil {
+		fmt.Fprintf(os.Stderr, "%v\n", err)
+		return 1
 	}
 	o, err := fleet.New(cfg)
 	if err != nil {

@@ -105,7 +105,7 @@ func New(geom Geometry, tp timing.Params, opts Options) (*Device, error) {
 	return d, nil
 }
 
-// MustNew is New that panics on error; for tests and examples.
+// MustNew is New that panics on error; for tests.
 func MustNew(geom Geometry, tp timing.Params, opts Options) *Device {
 	d, err := New(geom, tp, opts)
 	if err != nil {

@@ -59,7 +59,7 @@ func (s *Server) createJob(name string, prepared []exp.Prepared, experiment stri
 	for i, p := range prepared {
 		specs[i] = p.Spec()
 	}
-	j := s.jobs.createExperiment(name, specs, experiment, assemble)
+	j := s.jobs.create(name, specs, experiment, assemble)
 	if s.jobs.dir == "" {
 		return j
 	}

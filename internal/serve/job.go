@@ -247,13 +247,10 @@ func newJobRegistry() jobRegistry {
 	return jobRegistry{mu: &sync.Mutex{}, jobs: map[string]*job{}, cap: defaultJobCap}
 }
 
-func (r *jobRegistry) create(name string, specs []exp.SimSpec) *job {
-	return r.createExperiment(name, specs, "", nil)
-}
-
-// createExperiment registers an experiment job under a fresh ID: when the
-// last spec lands, assemble renders its table from the outcomes.
-func (r *jobRegistry) createExperiment(name string, specs []exp.SimSpec, experiment string, assemble func([]taskOutcome) (string, error)) *job {
+// create registers a job under a fresh ID. An experiment job names its
+// experiment, and assemble renders its table from the outcomes when the
+// last spec lands; a sweep passes "" and nil.
+func (r *jobRegistry) create(name string, specs []exp.SimSpec, experiment string, assemble func([]taskOutcome) (string, error)) *job {
 	var b [8]byte
 	rand.Read(b[:])
 	j := newJob(hex.EncodeToString(b[:]), name, specs, experiment, assemble)

@@ -12,8 +12,13 @@ import (
 	"testing"
 	"time"
 
+	"dsarp/internal/core"
 	"dsarp/internal/exp"
+	"dsarp/internal/sim"
+	"dsarp/internal/snap"
 	"dsarp/internal/store"
+	"dsarp/internal/timing"
+	"dsarp/internal/workload"
 )
 
 // peerService builds a service joined to a replication ring. peers may
@@ -450,4 +455,77 @@ func TestSnapshotPutLandsInSnapshotNamespace(t *testing.T) {
 	if !bytes.Equal(body, payload) || resp.Header.Get(payloadHashHeader) != hexOf(payload) {
 		t.Error("GET did not serve the snapshot bytes with their declared hash")
 	}
+}
+
+// FuzzClassifyPayload: whatever bytes a peer delivers, the classifier and
+// the two-layer gate never panic; a result is a result only when
+// DecodeResult accepts the bytes, a snapshot only when snap.NewReader
+// accepts them or reports a stale version, and anything else is corrupt.
+// Behind a correct declared hash verifyPayload agrees with classifyPayload;
+// behind a missing or wrong one it refuses as corrupt.
+func FuzzClassifyPayload(f *testing.F) {
+	cfg := sim.Config{
+		Workload: workload.Mixes(1, 2, 3)[1], Mechanism: core.KindDSARP, Density: timing.Gb8,
+		Seed: 3, Warmup: 1_000, Measure: 4_000,
+	}
+	res, err := sim.Run(cfg)
+	if err != nil {
+		f.Fatal(err)
+	}
+	result, err := exp.EncodeResult(res)
+	if err != nil {
+		f.Fatal(err)
+	}
+	sys, err := sim.NewSystem(cfg)
+	if err != nil {
+		f.Fatal(err)
+	}
+	container := sys.Snapshot()
+	stale := bytes.Replace(container, []byte(snap.Version), []byte("dsarp-snap-v0"), 1)
+	for _, c := range []struct {
+		data []byte
+		kind store.Kind
+		err  error
+	}{{result, store.KindResult, nil}, {container, store.KindSnapshot, nil}, {stale, store.KindSnapshot, snap.ErrVersion}} {
+		if kind, err := classifyPayload(c.data); kind != c.kind || !errors.Is(err, c.err) {
+			f.Fatalf("seed of %d bytes classified as kind %v with error %v, want %v and %v", len(c.data), kind, err, c.kind, c.err)
+		}
+	}
+	for _, seed := range [][]byte{result, container, stale, []byte("dsarpsnap garbage"), []byte(`{"ipc":`), nil} {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		kind, err := classifyPayload(data)
+		_, decodeErr := exp.DecodeResult(data)
+		_, readErr := snap.NewReader(data)
+		switch {
+		case kind == store.KindResult && err == nil:
+			if decodeErr != nil {
+				t.Fatalf("classified as a result, but DecodeResult refuses it: %v", decodeErr)
+			}
+		case kind == store.KindSnapshot:
+			if readErr != nil && !errors.Is(readErr, snap.ErrVersion) {
+				t.Fatalf("classified as a snapshot, but snap.NewReader refuses it: %v", readErr)
+			}
+			if (err != nil) != (readErr != nil) || (err != nil && !errors.Is(err, snap.ErrVersion)) {
+				t.Fatalf("snapshot classified with error %v; snap.NewReader gives %v", err, readErr)
+			}
+		case !isCorrupt(err):
+			t.Fatalf("classified as kind %v with error %v: neither a payload nor corrupt", kind, err)
+		}
+		if err != nil && decodeErr == nil {
+			t.Fatalf("DecodeResult accepts the bytes, but classifyPayload refuses them: %v", err)
+		}
+
+		sum := sha256.Sum256(data)
+		if verr := verifyPayload(data, hex.EncodeToString(sum[:])); (verr == nil) != (err == nil) {
+			t.Fatalf("verifyPayload under the right hash: %v; classifyPayload: %v", verr, err)
+		}
+		sum[0] ^= 1
+		for _, declared := range []string{"", hex.EncodeToString(sum[:])} {
+			if verr := verifyPayload(data, declared); !isCorrupt(verr) {
+				t.Fatalf("verifyPayload under declared hash %q: %v, want a corrupt error", declared, verr)
+			}
+		}
+	})
 }

@@ -267,10 +267,10 @@ func TestSweepBackpressure(t *testing.T) {
 func TestJobRegistryEviction(t *testing.T) {
 	r := newJobRegistry()
 	r.cap = 2
-	a := r.create("a", []exp.SimSpec{{}})
+	a := r.create("a", []exp.SimSpec{{}}, "", nil)
 	a.complete(0, exp.SimSpec{}, store.Key{}, nil, exp.SourceMemory, nil) // done
-	b := r.create("b", []exp.SimSpec{{}})                                 // running
-	c := r.create("c", []exp.SimSpec{{}})                                 // evicts a (done), not b
+	b := r.create("b", []exp.SimSpec{{}}, "", nil)                        // running
+	c := r.create("c", []exp.SimSpec{{}}, "", nil)                        // evicts a (done), not b
 	if _, ok := r.get(a.id); ok {
 		t.Error("finished job not evicted at cap")
 	}
@@ -279,7 +279,7 @@ func TestJobRegistryEviction(t *testing.T) {
 			t.Errorf("job %s evicted while a finished one existed", j.name)
 		}
 	}
-	d := r.create("d", []exp.SimSpec{{}}) // all running: evicts oldest (b)
+	d := r.create("d", []exp.SimSpec{{}}, "", nil) // all running: evicts oldest (b)
 	if _, ok := r.get(b.id); ok {
 		t.Error("oldest job survived a full-of-running-jobs registry")
 	}

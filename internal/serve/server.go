@@ -494,30 +494,42 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, err)
 		return
 	}
-	// A sweep that could never fit is a permanent client error, not a
-	// transient 429 — retrying would loop forever.
+	s.submit(w, r, prepared, req.Name, "", nil,
+		fmt.Errorf("serve: sweep of %d specs exceeds queue capacity %d; split it", len(prepared), s.maxQueue))
+}
+
+// submit admits prepared as one job and replies 202 with its URLs; an
+// experiment job, whose assemble renders its table when the last spec
+// lands, also gets a table URL. Admission is all-or-nothing: either the
+// whole batch fits the queue budget or none of it is admitted. A batch
+// larger than the whole queue is answered 413 with tooBig: it is a
+// permanent client error, not a transient 429 that a retry would loop
+// on forever.
+func (s *Server) submit(w http.ResponseWriter, r *http.Request, prepared []exp.Prepared, name, experiment string, assemble func([]taskOutcome) (string, error), tooBig error) {
 	if len(prepared) > s.maxQueue {
-		httpError(w, http.StatusRequestEntityTooLarge,
-			fmt.Errorf("serve: sweep of %d specs exceeds queue capacity %d; split it", len(prepared), s.maxQueue))
+		httpError(w, http.StatusRequestEntityTooLarge, tooBig)
 		return
 	}
-	// All-or-nothing admission: either the whole sweep fits the queue
-	// budget or none of it is admitted.
 	if err := s.reserve(len(prepared)); err != nil {
 		s.refuse(w, err)
 		return
 	}
-	j := s.createJob(req.Name, prepared, "", nil)
+	j := s.createJob(name, prepared, experiment, assemble)
+	trace := r.Header.Get(telemetry.TraceHeader)
 	for i, p := range prepared {
-		s.queue <- task{p: p, job: j, index: i, trace: r.Header.Get(telemetry.TraceHeader)}
+		s.queue <- task{p: p, job: j, index: i, trace: trace}
 	}
-	writeJSON(w, http.StatusAccepted, sweepResponse{
+	resp := sweepResponse{
 		ID:         j.id,
 		Total:      len(prepared),
 		StatusURL:  "/v1/jobs/" + j.id,
 		EventsURL:  "/v1/jobs/" + j.id + "/events",
 		ResultsURL: "/v1/jobs/" + j.id + "/results",
-	})
+	}
+	if experiment != "" {
+		resp.TableURL = "/v1/jobs/" + j.id + "/table"
+	}
+	writeJSON(w, http.StatusAccepted, resp)
 }
 
 // experimentInfo is one row of the GET /v1/experiments listing.
@@ -566,33 +578,14 @@ func (s *Server) handleExperimentRun(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	specs := e.Specs(s.runner)
-	if len(specs) > s.maxQueue {
-		httpError(w, http.StatusRequestEntityTooLarge,
-			fmt.Errorf("serve: experiment %s needs %d specs, queue capacity is %d; raise -max-queue or split it over /v1/sweep", name, len(specs), s.maxQueue))
-		return
-	}
 	prepared, err := s.prepareAll(specs)
 	if err != nil {
 		// Runner-built specs are canonical: only a bug gets here.
 		httpError(w, http.StatusInternalServerError, err)
 		return
 	}
-	if err := s.reserve(len(prepared)); err != nil {
-		s.refuse(w, err)
-		return
-	}
-	j := s.createJob(name, prepared, name, s.assembler(e, specs))
-	for i, p := range prepared {
-		s.queue <- task{p: p, job: j, index: i, trace: r.Header.Get(telemetry.TraceHeader)}
-	}
-	writeJSON(w, http.StatusAccepted, sweepResponse{
-		ID:         j.id,
-		Total:      len(prepared),
-		StatusURL:  "/v1/jobs/" + j.id,
-		EventsURL:  "/v1/jobs/" + j.id + "/events",
-		ResultsURL: "/v1/jobs/" + j.id + "/results",
-		TableURL:   "/v1/jobs/" + j.id + "/table",
-	})
+	s.submit(w, r, prepared, name, name, s.assembler(e, specs),
+		fmt.Errorf("serve: experiment %s needs %d specs, queue capacity is %d; raise -max-queue or split it over /v1/sweep", name, len(specs), s.maxQueue))
 }
 
 // assembler adapts a registry entry to the job completion hook: decode
